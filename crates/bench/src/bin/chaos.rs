@@ -5,18 +5,13 @@
 //!
 //! ```sh
 //! cargo run --release -p oracle-bench --bin chaos -- \
-//!     [--cases N] [--seed N] [--threads N] [--shards N|auto] \
-//!     [--stall-secs S] [--out DIR]
+//!     [--cases N] [--seed N] [--threads N] [--stall-secs S] [--out DIR]
 //! ```
 //!
 //! Exits 0 when every case completes or is contained by its fault plan,
 //! 2 when any case panics, violates an invariant, loses goals without a
 //! plan to blame, or hangs. Outcomes are a pure function of
-//! `(--cases, --seed)` — `--threads` changes wall clock only, and
-//! `--shards` routes each eligible case through the sharded engine
-//! (bit-identical by contract, so outcomes are unchanged; cases the
-//! engine cannot split, e.g. those with fault plans, fall back
-//! sequentially).
+//! `(--cases, --seed)` — `--threads` changes wall clock only.
 
 use std::time::Duration;
 
@@ -26,10 +21,7 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!(
-        "usage: chaos [--cases N] [--seed N] [--threads N] [--shards N|auto] \
-         [--stall-secs S] [--out DIR]"
-    );
+    eprintln!("usage: chaos [--cases N] [--seed N] [--threads N] [--stall-secs S] [--out DIR]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
@@ -51,21 +43,6 @@ fn main() {
                 0 => usage("--threads must be at least 1"),
                 n => config.threads = n as usize,
             },
-            "--shards" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--shards needs a value"));
-                let shards = match v.as_str() {
-                    "auto" => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    n => match n.parse() {
-                        Ok(s) if s >= 1 => s,
-                        _ => usage("--shards must be at least 1, or `auto`"),
-                    },
-                };
-                oracle::runner::set_default_shards(shards);
-            }
             "--stall-secs" => config.stall_timeout = Duration::from_secs(num("--stall-secs")),
             "--audit-every" => config.audit_every = num("--audit-every"),
             "--out" => {

@@ -34,28 +34,16 @@ pub struct Cell {
     /// monotonic per-process high-water mark, so this is cumulative across
     /// the grid — the last cell's value is the run's peak.
     pub peak_rss_bytes: u64,
-    /// Shard count for the parallel measurement; 1 means the cell ran on
-    /// the sequential engine only.
-    pub shards: usize,
-    /// Best wall-clock seconds over the repetitions through the sharded
-    /// engine (equal to `wall_secs` when `shards` is 1). The sharded
-    /// report is checked bit-identical to the sequential one before the
-    /// timing is accepted.
-    pub wall_secs_parallel: f64,
 }
 
 /// The fixed benchmark grid. The `Option<OpenTraffic>` is the open-traffic
-/// config — `None` for the closed (single task tree) cells — and the final
-/// `usize` is the shard count (cells with more than one shard run the
-/// co-processor-off configuration the parallel engine requires, and are
-/// timed through both engines).
+/// config — `None` for the closed (single task tree) cells.
 pub type GridSpec = (
     String,
     TopologySpec,
     WorkloadSpec,
     StrategySpec,
     Option<OpenTraffic>,
-    usize,
 );
 
 /// The fixed benchmark grid.
@@ -78,7 +66,6 @@ pub fn grid_specs() -> Vec<GridSpec> {
                     workload,
                     strategy,
                     None,
-                    1,
                 ));
             }
         }
@@ -96,22 +83,17 @@ pub fn grid_specs() -> Vec<GridSpec> {
         WorkloadSpec::fib(11),
         cwn,
         Some(open),
-        1,
     ));
-    // One sharded cell: a 1024-PE grid, co-processor off, timed through
-    // the sequential engine and through the 8-shard parallel engine (whose
-    // report must match bit-for-bit). `wall_secs_parallel` is an honest
-    // reading of this machine — on a single hardware core the windowed
-    // barriers cost more than they recover.
+    // One 1024-PE grid cell: ten times the paper's machine, where the
+    // event queue runs deeper and routing distances grow.
     let topology = TopologySpec::grid(32);
     let (cwn, _) = paper_strategies(&topology);
     specs.push((
-        "par-fib:20/grid:32/cwn".to_string(),
+        "fib:20/grid:32/cwn".to_string(),
         topology,
         WorkloadSpec::fib(20),
         cwn,
         None,
-        8,
     ));
     // Put the headline cell first.
     specs.sort_by_key(|(name, ..)| (name != "fib:20/grid:10/cwn") as u8);
@@ -122,19 +104,15 @@ pub fn grid_specs() -> Vec<GridSpec> {
 /// progress line per cell to stderr.
 pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for (name, topology, workload, strategy, open, shards) in grid_specs() {
-        let mut builder = SimulationBuilder::new()
+    for (name, topology, workload, strategy, open) in grid_specs() {
+        let config = SimulationBuilder::new()
             .topology(topology)
             .workload(workload)
             .strategy(strategy)
             .queue_backend(backend)
             .seed(seed)
-            .open(open);
-        if shards > 1 {
-            // The parallel engine's eligibility contract.
-            builder = builder.coprocessor(false);
-        }
-        let config = builder.config();
+            .open(open)
+            .config();
         let mut best_secs = f64::INFINITY;
         let mut report = None;
         for _ in 0..reps {
@@ -146,22 +124,6 @@ pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
             report = Some(r);
         }
         let report = report.expect("at least one repetition");
-        let mut best_par_secs = best_secs;
-        if shards > 1 {
-            best_par_secs = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let (r, _) = config
-                    .run_sharded(shards)
-                    .unwrap_or_else(|e| panic!("throughput cell {name} ({shards} shards): {e}"));
-                best_par_secs = best_par_secs.min(t0.elapsed().as_secs_f64());
-                assert_eq!(
-                    format!("{r:#?}"),
-                    format!("{report:#?}"),
-                    "throughput cell {name}: {shards}-shard report diverged from sequential"
-                );
-            }
-        }
         let cell = Cell {
             name,
             events: report.events,
@@ -169,18 +131,13 @@ pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
             wall_secs: best_secs,
             events_per_sec: report.events as f64 / best_secs.max(1e-9),
             peak_rss_bytes: peak_rss_bytes(),
-            shards,
-            wall_secs_parallel: best_par_secs,
         };
         eprintln!(
-            "{:<24} {:>9} events  {:>8.3} ms  {:>12.0} events/s  ({} shard{}: {:.3} ms)",
+            "{:<24} {:>9} events  {:>8.3} ms  {:>12.0} events/s",
             cell.name,
             cell.events,
             cell.wall_secs * 1e3,
             cell.events_per_sec,
-            cell.shards,
-            if cell.shards == 1 { "" } else { "s" },
-            cell.wall_secs_parallel * 1e3,
         );
         cells.push(cell);
     }
@@ -210,13 +167,12 @@ pub fn peak_rss_bytes() -> u64 {
     field("VmHWM:").or_else(|| field("VmRSS:")).unwrap_or(0)
 }
 
-/// Render the measured cells as the `oracle-bench-throughput/v2` JSON.
-/// v2 adds the per-cell `peak_rss_bytes`, `shards`, and
-/// `wall_secs_parallel` fields (`wall_secs` stays the sequential reading,
-/// so v1 consumers keyed on `events_per_sec` still compare like-for-like).
+/// Render the measured cells as the `oracle-bench-throughput/v3` JSON.
+/// v2 added the per-cell `peak_rss_bytes`; v3 drops v2's two per-cell
+/// fields that timed the retired multi-worker engine.
 pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"oracle-bench-throughput/v2\",");
+    let _ = writeln!(s, "  \"schema\": \"oracle-bench-throughput/v3\",");
     let _ = writeln!(s, "  \"reps\": {reps},");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"peak_rss_bytes\": {},", peak_rss_bytes());
@@ -228,15 +184,8 @@ pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
             s,
             "    {{\"name\": \"{}\", \"events\": {}, \"completion_time\": {}, \
              \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"peak_rss_bytes\": {}, \"shards\": {}, \"wall_secs_parallel\": {:.6}}}{comma}",
-            c.name,
-            c.events,
-            c.completion_time,
-            c.wall_secs,
-            c.events_per_sec,
-            c.peak_rss_bytes,
-            c.shards,
-            c.wall_secs_parallel,
+             \"peak_rss_bytes\": {}}}{comma}",
+            c.name, c.events, c.completion_time, c.wall_secs, c.events_per_sec, c.peak_rss_bytes,
         );
     }
     s.push_str("  ]\n}\n");
@@ -252,14 +201,38 @@ pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
 /// summing the grid averages those spikes out and weights the verdict
 /// toward the long, stable cells, so a smoke run (`--quick`) is meaningful
 /// on a noisy CI box. Per-cell shortfalls still print as advisories.
-/// Returns false if the aggregate regressed past `tolerance` or nothing
-/// could be compared.
+/// Returns false if the aggregate regressed past `tolerance`, or if the
+/// fresh and committed cell sets differ (a renamed, added or dropped cell
+/// would otherwise go ungated); the unmatched names on both sides print.
 pub fn check(cells: &[Cell], reference: &str, tolerance: f64) -> bool {
+    let committed = reference_cell_names(reference);
+    let fresh_only: Vec<&str> = cells
+        .iter()
+        .map(|c| c.name.as_str())
+        .filter(|n| !committed.contains(n))
+        .collect();
+    let committed_only: Vec<&str> = committed
+        .iter()
+        .copied()
+        .filter(|n| !cells.iter().any(|c| c.name == *n))
+        .collect();
+    if !fresh_only.is_empty() || !committed_only.is_empty() {
+        eprintln!(
+            "REGRESSION check: cell sets differ; fresh only: [{}]; committed only: [{}]",
+            fresh_only.join(", "),
+            committed_only.join(", ")
+        );
+        return false;
+    }
     let mut compared = 0;
     let (mut events, mut secs, mut ref_secs) = (0u64, 0f64, 0f64);
     for c in cells {
         let Some(ref_eps) = lookup_events_per_sec(reference, &c.name) else {
-            continue;
+            eprintln!(
+                "REGRESSION check: committed cell {} has no events_per_sec",
+                c.name
+            );
+            return false;
         };
         compared += 1;
         events += c.events;
@@ -273,7 +246,7 @@ pub fn check(cells: &[Cell], reference: &str, tolerance: f64) -> bool {
         }
     }
     if compared == 0 {
-        eprintln!("REGRESSION check: no matching cells in reference file");
+        eprintln!("REGRESSION check: no cells to compare");
         return false;
     }
     let aggregate = events as f64 / secs.max(1e-9);
@@ -287,6 +260,17 @@ pub fn check(cells: &[Cell], reference: &str, tolerance: f64) -> bool {
         if ok { "ok" } else { "REGRESSED" }
     );
     ok
+}
+
+/// Names of every cell in [`to_json`] output, in file order.
+fn reference_cell_names(json: &str) -> Vec<&str> {
+    let key = "\"name\": \"";
+    json.lines()
+        .filter_map(|l| {
+            let rest = &l[l.find(key)? + key.len()..];
+            Some(&rest[..rest.find('"')?])
+        })
+        .collect()
 }
 
 /// Extract `events_per_sec` for the named cell from [`to_json`] output.
@@ -315,8 +299,6 @@ mod tests {
                 wall_secs: 0.01,
                 events_per_sec: 10_000.0,
                 peak_rss_bytes: 4096,
-                shards: 1,
-                wall_secs_parallel: 0.01,
             },
             Cell {
                 name: "d/e/f".into(),
@@ -325,8 +307,6 @@ mod tests {
                 wall_secs: 0.02,
                 events_per_sec: 10_000.0,
                 peak_rss_bytes: 8192,
-                shards: 8,
-                wall_secs_parallel: 0.05,
             },
         ]
     }
@@ -334,8 +314,8 @@ mod tests {
     #[test]
     fn json_roundtrips_events_per_sec() {
         let json = to_json(&sample_cells(), 3, 1);
-        assert!(json.contains("\"schema\": \"oracle-bench-throughput/v2\""));
-        assert!(json.contains("\"shards\": 8, \"wall_secs_parallel\": 0.050000"));
+        assert!(json.contains("\"schema\": \"oracle-bench-throughput/v3\""));
+        assert!(!json.contains("wall_secs_parallel"));
         assert!(json.contains("\"peak_rss_bytes\": 4096"));
         assert_eq!(lookup_events_per_sec(&json, "a/b/c"), Some(10_000.0));
         assert_eq!(lookup_events_per_sec(&json, "d/e/f"), Some(10_000.0));
@@ -373,10 +353,28 @@ mod tests {
             wall_secs: 1.0,
             events_per_sec: 1.0,
             peak_rss_bytes: 0,
-            shards: 1,
-            wall_secs_parallel: 1.0,
         }];
         assert!(!check(&stranger, &reference, 0.25));
+    }
+
+    #[test]
+    fn check_fails_on_cell_set_mismatch() {
+        let reference = to_json(&sample_cells(), 3, 1);
+        assert_eq!(reference_cell_names(&reference), ["a/b/c", "d/e/f"]);
+
+        // A fresh cell the baseline lacks (renamed or added) fails even
+        // though every shared cell is fast.
+        let mut extra = sample_cells();
+        extra[1].name = "d/e/g".into();
+        assert!(!check(&extra, &reference, 0.25));
+
+        // So does a committed cell the fresh grid dropped.
+        let mut dropped = sample_cells();
+        dropped.pop();
+        assert!(!check(&dropped, &reference, 0.25));
+
+        // The identical set passes.
+        assert!(check(&sample_cells(), &reference, 0.25));
     }
 
     #[test]
@@ -387,9 +385,6 @@ mod tests {
         let open: Vec<_> = specs.iter().filter(|s| s.4.is_some()).collect();
         assert_eq!(open.len(), 1, "exactly one open-arrival cell");
         assert!(open[0].0.starts_with("open-"));
-        let sharded: Vec<_> = specs.iter().filter(|s| s.5 > 1).collect();
-        assert_eq!(sharded.len(), 1, "exactly one sharded cell");
-        assert!(sharded[0].0.starts_with("par-"));
-        assert!(sharded[0].4.is_none(), "sharded cell must stay eligible");
+        assert!(specs.iter().any(|s| s.0 == "fib:20/grid:32/cwn"));
     }
 }

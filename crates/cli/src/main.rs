@@ -132,7 +132,7 @@ oracle-cli — ORACLE load-distribution simulator (Kale, ICPP 1988 reproduction)
 
 commands:
   run       --topology T --strategy S --workload W [--seed N] [--csv]
-            [--shards N|auto] [--no-coprocessor] [--series]
+            [--no-coprocessor] [--series]
             [--per-pe] [--state-mode auto|dense|sparse] [--load-period T]
             [--trace N] [--trace-out FILE]
             [--trace-format jsonl|chrome] [--trace-last N]
@@ -167,17 +167,8 @@ commands:
             wall times, queue-depth high-water mark, control tags);
             --faults @FILE loads a plan file (blank/# lines ignored, one
             or more `+`-separated terms per line);
-            --shards N splits the single run across N conservative-sync
-            workers (`auto` = all cores) with bit-identical results;
-            counts above the machine's PE count (or the engine's cap of
-            64 workers) are clamped, so no worker ever owns nothing;
-            configurations the sharded engine cannot split (tracing,
-            faults, open traffic, co-processor mode) run sequentially,
-            with a stderr note naming the reason;
             --no-coprocessor models software message routing (PEs pay
-            the routing cost themselves) — required for --shards to
-            engage, since co-processor deliveries run strategy code at
-            channel timestamps;
+            the routing cost themselves);
             --per-pe emits the O(num-PEs) per-PE report vectors (off by
             default: headline aggregates are O(1) in PE count);
             --state-mode forces the dense or sparse per-PE/channel state
@@ -246,13 +237,10 @@ spec grammars:
   faults:   `+`-separated terms of crash:PE@T | link:CH@DOWN..UP | loss:P% |
             slow:PE@FROM..UNTILxFACTOR | recover:TIMEOUTxRETRIES | none
 
-parallelism precedence (each resolved per command invocation):
-  --threads N   batch worker pool; flag > default (all cores). 0 rejected:
-                \"--threads N (N >= 1; omit the flag for auto)\"
-  --shards N    per-run sharded engine; flag > default (1 = sequential).
-                `auto` = all cores; clamped to min(PE count, 64);
-                ineligible runs fall back untouched.
-  The two compose: each batch worker may itself run sharded.
+parallelism: one run executes sequentially; --threads N spreads the
+  independent runs of batch, experiment and chaos over N workers (default:
+  all cores; 0 is rejected: \"--threads N (N >= 1; omit the flag for
+  auto)\"); results are identical at any thread count.
 
 exit codes: 0 success (saturation is a measured outcome, not a failure) |
             2 simulation failed (invariant violation, goals lost, stall,
@@ -261,12 +249,148 @@ exit codes: 0 success (saturation is a measured outcome, not a failure) |
             (no request ever completed within its deadline)
             failures print one line to stderr: error[CLASS]: message";
 
-/// Pull `--flag value` pairs and boolean flags out of an argument list.
+/// The flags one subcommand accepts: each of `values` takes one argument,
+/// each of `switches` takes none. `operands` says whether bare arguments
+/// (not a flag, not a flag's value) are allowed.
+struct FlagSpec {
+    command: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    operands: bool,
+}
+
+const RUN_FLAGS: FlagSpec = FlagSpec {
+    command: "run",
+    values: &[
+        "--topology",
+        "--strategy",
+        "--workload",
+        "--seed",
+        "--state-mode",
+        "--load-period",
+        "--trace",
+        "--trace-out",
+        "--trace-format",
+        "--trace-last",
+        "--series-out",
+        "--heatmap",
+        "--faults",
+        "--audit-every",
+        "--checkpoint-every",
+        "--checkpoint-dir",
+        "--resume",
+        "--arrivals",
+        "--duration",
+        "--warmup",
+        "--deadline",
+        "--retry",
+        "--admission",
+        "--breaker",
+    ],
+    switches: &[
+        "--csv",
+        "--no-coprocessor",
+        "--series",
+        "--per-pe",
+        "--profile",
+    ],
+    operands: false,
+};
+
+const TRACE_CHECK_FLAGS: FlagSpec = FlagSpec {
+    command: "trace-check",
+    values: &["--format"],
+    switches: &[],
+    operands: false,
+};
+
+const CHAOS_FLAGS: FlagSpec = FlagSpec {
+    command: "chaos",
+    values: &[
+        "--cases",
+        "--seed",
+        "--threads",
+        "--stall-secs",
+        "--audit-every",
+        "--out",
+    ],
+    switches: &[],
+    operands: false,
+};
+
+const COMPARE_FLAGS: FlagSpec = FlagSpec {
+    command: "compare",
+    values: &["--topology", "--workload", "--seed"],
+    switches: &[],
+    operands: false,
+};
+
+const BATCH_FLAGS: FlagSpec = FlagSpec {
+    command: "batch",
+    values: &["--threads"],
+    switches: &["--csv", "--profile"],
+    operands: false,
+};
+
+const EXPERIMENT_FLAGS: FlagSpec = FlagSpec {
+    command: "experiment",
+    values: &["--seed", "--threads"],
+    switches: &["--quick", "--json", "--check"],
+    operands: false,
+};
+
+const TOPO_INFO_FLAGS: FlagSpec = FlagSpec {
+    command: "topo-info",
+    values: &[],
+    switches: &["--dot"],
+    operands: true,
+};
+
+/// `--flag value` pairs and switches of one subcommand's argument list,
+/// checked against that subcommand's [`FlagSpec`].
 struct Flags<'a> {
     args: &'a [String],
+    /// Bare arguments, in order (only where the spec allows them).
+    operands: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
+    /// Check `args` against `spec`. An unknown flag, a value flag without
+    /// its value, or a stray bare argument is a configuration error that
+    /// names the offending argument — a misspelt or retired flag must
+    /// never run something other than what was asked for.
+    fn new(args: &'a [String], spec: &FlagSpec) -> Result<Flags<'a>, Failure> {
+        let mut operands = Vec::new();
+        let mut i = 0;
+        while i < args.len() {
+            let arg = args[i].as_str();
+            if spec.values.contains(&arg) {
+                match args.get(i + 1) {
+                    Some(v) if !v.starts_with("--") => i += 2,
+                    _ => return Err(Failure::config(format!("{arg} needs a value"))),
+                }
+                continue;
+            }
+            if spec.switches.contains(&arg) {
+                // A switch: nothing to consume.
+            } else if arg.starts_with('-') {
+                return Err(Failure::config(format!(
+                    "unknown flag {arg} for `{}`; see oracle-cli --help",
+                    spec.command
+                )));
+            } else if spec.operands {
+                operands.push(arg);
+            } else {
+                return Err(Failure::config(format!(
+                    "unexpected argument {arg:?} for `{}`; see oracle-cli --help",
+                    spec.command
+                )));
+            }
+            i += 1;
+        }
+        Ok(Flags { args, operands })
+    }
+
     fn value_of(&self, flag: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -304,32 +428,6 @@ fn apply_threads(flags: &Flags) -> Result<(), String> {
                 ));
             }
             oracle::runner::set_default_threads(threads);
-        }
-    }
-    Ok(())
-}
-
-/// Apply the shared `--shards N|auto` flag: split each single run across N
-/// conservative-sync workers (`auto` = all physical cores). Results are
-/// bit-identical at any shard count; ineligible configurations (tracing,
-/// faults, open traffic, co-processor mode, …) fall back to the
-/// sequential engine transparently.
-fn apply_shards(flags: &Flags) -> Result<(), String> {
-    match flags.value_of("--shards") {
-        None => oracle::runner::clear_default_shards(),
-        Some("auto") => oracle::runner::set_default_shards(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        ),
-        Some(v) => {
-            let shards: usize = v.parse().map_err(|e| format!("--shards {v:?}: {e}"))?;
-            if shards == 0 {
-                return Err(
-                    "--shards must be at least 1, or `auto` (1 = sequential engine)".into(),
-                );
-            }
-            oracle::runner::set_default_shards(shards);
         }
     }
     Ok(())
@@ -456,8 +554,7 @@ fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
-    apply_shards(&flags)?;
+    let flags = Flags::new(args, &RUN_FLAGS)?;
     let mut trace_cap: usize = flags.parse("--trace", 0)?;
     let trace_last: usize = flags.parse("--trace-last", 0)?;
     let trace_out = flags.value_of("--trace-out");
@@ -535,15 +632,6 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         .workload(workload)
         .machine(machine_cfg)
         .config();
-
-    let shards = oracle::runner::default_shards();
-    if shards > 1 {
-        if let Ok(m) = config.machine() {
-            if let Some(reason) = oracle::model::ineligibility(&m, shards) {
-                eprintln!("note: --shards {shards} falls back to the sequential engine: {reason}");
-            }
-        }
-    }
 
     let checkpoint_every: u64 = flags.parse("--checkpoint-every", 0)?;
     if checkpoint_every > 0 {
@@ -632,7 +720,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
     let Some(path) = args.first().filter(|a| !a.starts_with('-')) else {
         return Err(Failure::config("trace-check needs a trace file"));
     };
-    let flags = Flags { args: &args[1..] };
+    let flags = Flags::new(&args[1..], &TRACE_CHECK_FLAGS)?;
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
     let format = match flags.value_of("--format") {
         Some(f) => f.parse::<TraceFormat>().map_err(Failure::config)?,
@@ -827,11 +915,7 @@ fn print_report(report: &Report, flags: &Flags) {
 
 /// Chaos-fuzzing sweep frontend over [`oracle::chaos`].
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
-    // Chaos cases carry fault plans, so sharded execution falls back to
-    // the sequential engine case by case — accepting the flag here keeps
-    // one command line valid across a whole CI matrix.
-    apply_shards(&flags)?;
+    let flags = Flags::new(args, &CHAOS_FLAGS)?;
     let mut config = oracle::chaos::ChaosConfig::default();
     config.cases = flags.parse("--cases", config.cases)?;
     config.seed = flags.parse("--seed", config.seed)?;
@@ -898,7 +982,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
             "experiment needs a name (e.g. table2); see --help",
         ));
     };
-    let flags = Flags { args: &args[1..] };
+    let flags = Flags::new(&args[1..], &EXPERIMENT_FLAGS)?;
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
@@ -906,7 +990,6 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
     };
     let seed: u64 = flags.parse("--seed", 1)?;
     apply_threads(&flags)?;
-    apply_shards(&flags)?;
 
     match name.as_str() {
         "table1" => {
@@ -1099,9 +1182,8 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
     let Some(path) = args.first().filter(|a| !a.starts_with('-')) else {
         return Err(Failure::config("batch needs a suite file"));
     };
-    let flags = Flags { args: &args[1..] };
+    let flags = Flags::new(&args[1..], &BATCH_FLAGS)?;
     apply_threads(&flags)?;
-    apply_shards(&flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
     let mut specs = oracle::runner::parse_suite(&text)?;
     let profile = flags.has("--profile");
@@ -1141,7 +1223,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
+    let flags = Flags::new(args, &COMPARE_FLAGS)?;
     let topology: TopologySpec = flags.parse("--topology", TopologySpec::grid(10))?;
     let workload: WorkloadSpec = flags.parse("--workload", WorkloadSpec::fib(15))?;
     let seed: u64 = flags.parse("--seed", 1)?;
@@ -1190,14 +1272,15 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
-    if args.is_empty() {
+    let flags = Flags::new(args, &TOPO_INFO_FLAGS)?;
+    if flags.operands.is_empty() {
         return Err(Failure::config(
             "topo-info needs at least one topology spec",
         ));
     }
     // `--dot` prints Graphviz for each spec instead of the table.
-    if args.iter().any(|a| a == "--dot") {
-        for arg in args.iter().filter(|a| !a.starts_with('-')) {
+    if flags.has("--dot") {
+        for arg in &flags.operands {
             let spec: TopologySpec = arg
                 .parse()
                 .map_err(|e: oracle::topo::spec::ParseSpecError| e.to_string())?;
@@ -1217,7 +1300,7 @@ fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
             "max deg",
         ],
     );
-    for arg in args {
+    for arg in &flags.operands {
         let spec: TopologySpec = arg
             .parse()
             .map_err(|e: oracle::topo::spec::ParseSpecError| e.to_string())?;
@@ -1256,12 +1339,47 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Every subcommand's flag spec, for the USAGE cross-checks.
+    const ALL_SPECS: [&FlagSpec; 7] = [
+        &RUN_FLAGS,
+        &TRACE_CHECK_FLAGS,
+        &CHAOS_FLAGS,
+        &COMPARE_FLAGS,
+        &BATCH_FLAGS,
+        &EXPERIMENT_FLAGS,
+        &TOPO_INFO_FLAGS,
+    ];
+
+    /// The `--flags` mentioned in the USAGE block of `command`: from its
+    /// `  command` line up to the next command line or blank line.
+    fn usage_flags(command: &str) -> Vec<String> {
+        let mut lines = USAGE.lines().skip_while(|l| {
+            !(l.starts_with("  ") && l[2..].split_whitespace().next() == Some(command))
+        });
+        let first = lines.next().expect("command has a USAGE block");
+        let mut flags = Vec::new();
+        let block = std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("            ")))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for (at, _) in block.match_indices("--") {
+            let name: String = block[at..]
+                .chars()
+                .take_while(|c| *c == '-' || c.is_ascii_lowercase())
+                .collect();
+            if !flags.contains(&name) {
+                flags.push(name);
+            }
+        }
+        flags
+    }
+
     #[test]
     fn value_of_finds_pairs() {
         let a = flags(&["--seed", "42", "--csv"]);
-        let f = Flags { args: &a };
+        let f = Flags::new(&a, &RUN_FLAGS).unwrap();
         assert_eq!(f.value_of("--seed"), Some("42"));
-        assert_eq!(f.value_of("--missing"), None);
+        assert_eq!(f.value_of("--topology"), None);
         assert!(f.has("--csv"));
         assert!(!f.has("--series"));
     }
@@ -1269,15 +1387,76 @@ mod tests {
     #[test]
     fn parse_uses_defaults_and_values() {
         let a = flags(&["--seed", "7"]);
-        let f = Flags { args: &a };
+        let f = Flags::new(&a, &RUN_FLAGS).unwrap();
         assert_eq!(f.parse("--seed", 1u64).unwrap(), 7);
         assert_eq!(f.parse("--trace", 0usize).unwrap(), 0);
     }
 
     #[test]
+    fn unknown_flags_and_missing_values_are_config_errors() {
+        let cases: [(&[&str], &FlagSpec, &str); 6] = [
+            (&["--shards", "2"], &RUN_FLAGS, "--shards"),
+            (&["--bogus-flag", "3"], &RUN_FLAGS, "--bogus-flag"),
+            (&["--seed"], &RUN_FLAGS, "--seed"),
+            (&["--seed", "--csv"], &RUN_FLAGS, "--seed"),
+            (&["--frobnicate"], &BATCH_FLAGS, "--frobnicate"),
+            (&["stray"], &COMPARE_FLAGS, "stray"),
+        ];
+        for (args, spec, named) in cases {
+            let a = flags(args);
+            let err = Flags::new(&a, spec).err().expect("must be rejected");
+            assert_eq!((err.kind, err.code), ("config", 3), "{args:?}");
+            assert!(err.message.contains(named), "{args:?}: {}", err.message);
+        }
+        // Through the subcommands themselves.
+        let err = cmd_run(&flags(&["--shards", "2"])).unwrap_err();
+        assert_eq!((err.kind, err.code), ("config", 3));
+        assert!(err.message.contains("--shards"), "{}", err.message);
+        let err = cmd_run(&flags(&["--topology", "grid:4", "--seed"])).unwrap_err();
+        assert_eq!((err.kind, err.code), ("config", 3));
+        assert!(err.message.contains("--seed"), "{}", err.message);
+        let err = cmd_batch(&flags(&["suites/none.txt", "--frobnicate"])).unwrap_err();
+        assert_eq!((err.kind, err.code), ("config", 3));
+        assert!(err.message.contains("--frobnicate"), "{}", err.message);
+        for args in [&["--shards", "2"][..], &["--quick", "--shards", "2"]] {
+            let mut a = flags(&["table3"]);
+            a.extend(flags(args));
+            let err = cmd_experiment(&a).unwrap_err();
+            assert!(err.message.contains("--shards"), "{}", err.message);
+        }
+        let err = cmd_chaos(&flags(&["--shards", "auto"])).unwrap_err();
+        assert!(err.message.contains("--shards"), "{}", err.message);
+    }
+
+    #[test]
+    fn usage_and_flag_specs_agree() {
+        for spec in ALL_SPECS {
+            let listed = usage_flags(spec.command);
+            // Every flag the help text lists for a subcommand parses...
+            for flag in &listed {
+                assert!(
+                    spec.values.contains(&flag.as_str()) || spec.switches.contains(&flag.as_str()),
+                    "USAGE lists {flag} for `{}` but the parser rejects it",
+                    spec.command
+                );
+            }
+            // ...and every flag the parser takes is documented there.
+            for flag in spec.values.iter().chain(spec.switches) {
+                assert!(
+                    listed.iter().any(|l| l == flag),
+                    "`{}` accepts {flag} but USAGE does not list it",
+                    spec.command
+                );
+            }
+        }
+        assert!(usage_flags("run").contains(&"--no-coprocessor".to_string()));
+        assert!(!USAGE.contains("--shards"));
+    }
+
+    #[test]
     fn parse_reports_bad_values() {
         let a = flags(&["--seed", "xyz"]);
-        let f = Flags { args: &a };
+        let f = Flags::new(&a, &RUN_FLAGS).unwrap();
         let err = f.parse("--seed", 1u64).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
         assert!(err.contains("xyz"), "{err}");
@@ -1535,22 +1714,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_is_validated_and_cleared() {
-        let apply = |args: &[&str]| {
-            let a = flags(args);
-            apply_shards(&Flags { args: &a })
-        };
-        apply(&["--shards", "3"]).expect("positive shard count accepted");
-        assert_eq!(oracle::runner::default_shards(), 3);
-        let err = apply(&["--shards", "0"]).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        apply(&["--shards", "auto"]).expect("auto accepted");
-        assert!(oracle::runner::default_shards() >= 1);
-        apply(&[]).expect("absent flag clears the default");
-        assert_eq!(oracle::runner::default_shards(), 1);
-    }
-
-    #[test]
     fn batch_command_accepts_fault_plans() {
         let path = std::env::temp_dir().join("oracle_cli_fault_suite_test.txt");
         std::fs::write(&path, "ring:4 local fib:8 faults=crash:3@100\n").unwrap();
@@ -1569,12 +1732,13 @@ mod tests {
         .unwrap();
         let arg = format!("@{}", path.display());
         let a = flags(&["--faults", &arg]);
-        let plan = parse_faults_flag(&Flags { args: &a }).expect("plan file parses");
+        let plan =
+            parse_faults_flag(&Flags::new(&a, &RUN_FLAGS).unwrap()).expect("plan file parses");
         assert_eq!(plan.pe_crashes.len(), 1);
         assert!((plan.message_loss - 0.01).abs() < 1e-9);
 
         let missing = flags(&["--faults", "@/no/such/file"]);
-        let err = parse_faults_flag(&Flags { args: &missing }).unwrap_err();
+        let err = parse_faults_flag(&Flags::new(&missing, &RUN_FLAGS).unwrap()).unwrap_err();
         assert_eq!((err.kind, err.code), ("io", 3));
         std::fs::remove_file(&path).ok();
     }

@@ -167,26 +167,6 @@ impl<E> DualQueue<E> {
         }
     }
 
-    /// `(time, key)` of the next pending event without removing it.
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        match self {
-            DualQueue::Heap(q) => q.peek_keyed(),
-            DualQueue::Calendar(q) => q.peek_keyed(),
-        }
-    }
-
-    /// Move the clock forward to `t` without popping anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past or would skip over a pending event.
-    pub fn advance_to(&mut self, t: SimTime) {
-        match self {
-            DualQueue::Heap(q) => q.advance_to(t),
-            DualQueue::Calendar(q) => q.advance_to(t),
-        }
-    }
-
     /// Drain the queue into a [`QueueSnapshot`], leaving it empty. Popping
     /// is the only operation whose order both backends define identically,
     /// so draining *is* the canonical serialization; callers that need to

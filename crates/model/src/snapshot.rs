@@ -51,10 +51,11 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// table, token-bucket level, circuit-breaker table, shed/abandonment
 /// counters, the `Retry` event tag, and per-request attempt counts).
 ///
-/// v4 added the deterministic-ordering block of the sharded parallel
-/// engine (per-PE RNG streams, per-actor event-key sequences, per-creator
-/// goal-id sequences replacing the global goal counter, per-PE dispatch
-/// latency accumulators, and explicit event-queue keys).
+/// v4 added the deterministic-ordering block (per-PE RNG streams,
+/// per-actor event-key sequences, per-creator goal-id sequences replacing
+/// the global goal counter, per-PE dispatch latency accumulators, and
+/// explicit event-queue keys), which fixes a golden-stable tie order and
+/// keeps each PE's random stream independent of the others.
 ///
 /// v5 made the per-channel table and the per-PE dispatch-latency
 /// accumulators mode-agnostic: both now encode as a count of materialized

@@ -14,7 +14,7 @@
 //! to a non-negative f64 accumulator is the identity, and merging an empty
 //! [`OnlineStats`] is a no-op — so skipping the untouched slots cannot
 //! perturb a single bit of the folds. `tests/sparse_dense.rs` pins this
-//! equivalence across the golden cells and under the sharded engine.
+//! equivalence across the golden cells.
 
 use oracle_des::{FastHashMap, OnlineStats};
 use oracle_topo::ChannelId;
@@ -130,29 +130,6 @@ impl ChannelTable {
             ChannelTable::Sparse { map, .. } => map.clear(),
         }
     }
-
-    /// Swap the state of channel `c` between two tables (the parallel
-    /// engine folds shard-owned channel state back into the main machine
-    /// this way). Both tables must use the same representation — they
-    /// always do, since shards clone the main machine's config.
-    pub fn swap_slot(&mut self, c: u32, other: &mut ChannelTable) {
-        match (self, other) {
-            (ChannelTable::Dense(a), ChannelTable::Dense(b)) => {
-                std::mem::swap(&mut a[c as usize], &mut b[c as usize]);
-            }
-            (ChannelTable::Sparse { map: a, .. }, ChannelTable::Sparse { map: b, .. }) => {
-                let from_a = a.remove(&c);
-                let from_b = b.remove(&c);
-                if let Some(ch) = from_a {
-                    b.insert(c, ch);
-                }
-                if let Some(ch) = from_b {
-                    a.insert(c, ch);
-                }
-            }
-            _ => panic!("channel-table representation mismatch across engines"),
-        }
-    }
 }
 
 /// Per-PE dispatch-latency accumulators, dense or sparse. Folded in
@@ -241,27 +218,6 @@ impl DispatchLatency {
             DispatchLatency::Sparse(map) => map.clear(),
         }
     }
-
-    /// Swap PE `p`'s accumulator between two tables (parallel-engine
-    /// merge). Representations must match.
-    pub fn swap_pe(&mut self, p: u32, other: &mut DispatchLatency) {
-        match (self, other) {
-            (DispatchLatency::Dense(a), DispatchLatency::Dense(b)) => {
-                std::mem::swap(&mut a[p as usize], &mut b[p as usize]);
-            }
-            (DispatchLatency::Sparse(a), DispatchLatency::Sparse(b)) => {
-                let from_a = a.remove(&p);
-                let from_b = b.remove(&p);
-                if let Some(s) = from_a {
-                    b.insert(p, s);
-                }
-                if let Some(s) = from_b {
-                    a.insert(p, s);
-                }
-            }
-            _ => panic!("dispatch-latency representation mismatch across engines"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,20 +253,6 @@ mod tests {
         t.get_mut(ChannelId(2)).transfers = 1;
         assert_eq!(t.present().len(), 4);
         assert_eq!(t.touched(), 4);
-    }
-
-    #[test]
-    fn swap_slot_moves_state_both_ways() {
-        for sparse in [false, true] {
-            let mut a = ChannelTable::new(8, sparse);
-            let mut b = ChannelTable::new(8, sparse);
-            a.get_mut(ChannelId(5)).transfers = 9;
-            a.swap_slot(5, &mut b);
-            assert_eq!(a.get(ChannelId(5)).transfers, 0);
-            assert_eq!(b.get(ChannelId(5)).transfers, 9);
-            b.swap_slot(5, &mut a);
-            assert_eq!(a.get(ChannelId(5)).transfers, 9);
-        }
     }
 
     #[test]

@@ -297,55 +297,6 @@ impl Strategy for GradientModel {
         self.state = restored;
         Ok(())
     }
-
-    // The proximity field is per-PE: a PE updates its own proximity and its
-    // own view of each neighbour's, learning of remote changes only through
-    // control messages.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
-    fn merge_owned(&mut self, from: &StrategyState, owned: &[bool]) -> Result<(), String> {
-        if from.name != self.name() {
-            return Err(format!(
-                "merging shard state of `{}` into `{}`",
-                from.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `gradient` shard payload: {e}");
-        let mut r = SnapReader::new(&from.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != self.state.len() || n != owned.len() {
-            return Err(format!(
-                "`gradient` shard state covers {n} PEs but this machine has {}",
-                self.state.len()
-            ));
-        }
-        for (i, &own) in owned.iter().enumerate() {
-            let proximity = r.u32().map_err(bad)?;
-            let deg = r.usize().map_err(bad)?;
-            if deg != self.state[i].neighbor_prox.len() {
-                return Err(format!(
-                    "`gradient` shard state lists {deg} neighbours for PE {i} \
-                     but the topology gives it {}",
-                    self.state[i].neighbor_prox.len()
-                ));
-            }
-            let mut neighbor_prox = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                neighbor_prox.push(r.u32().map_err(bad)?);
-            }
-            if own {
-                self.state[i] = GmPe {
-                    proximity,
-                    neighbor_prox,
-                };
-            }
-        }
-        r.finish().map_err(bad)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

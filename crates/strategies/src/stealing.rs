@@ -196,45 +196,6 @@ impl Strategy for WorkStealing {
         self.denies = denies;
         Ok(())
     }
-
-    // Steal bookkeeping (outstanding request, deny cursor) is per-PE; the
-    // steal handshake itself rides control messages through channels.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
-    fn merge_owned(&mut self, from: &StrategyState, owned: &[bool]) -> Result<(), String> {
-        if from.name != self.name() {
-            return Err(format!(
-                "merging shard state of `{}` into `{}`",
-                from.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `work-stealing` shard payload: {e}");
-        let mut r = SnapReader::new(&from.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != self.outstanding.len() || n != owned.len() {
-            return Err(format!(
-                "`work-stealing` shard state covers {n} PEs but this machine has {}",
-                self.outstanding.len()
-            ));
-        }
-        for slot in self.outstanding.iter_mut().zip(owned) {
-            let v = r.bool().map_err(bad)?;
-            if *slot.1 {
-                *slot.0 = v;
-            }
-        }
-        for slot in self.denies.iter_mut().zip(owned) {
-            let v = r.u32().map_err(bad)?;
-            if *slot.1 {
-                *slot.0 = v;
-            }
-        }
-        r.finish().map_err(bad)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

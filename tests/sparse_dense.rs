@@ -2,8 +2,8 @@
 //! representations ([`StateMode::Sparse`] vs [`StateMode::Dense`]) must
 //! produce **bit-identical** `Report`s — completion time, utilization
 //! quantiles, traffic counters, hop histograms, top-K tables, float
-//! folds, all of it — on every cell, under both event-queue backends, and
-//! under the sharded engine as well as the sequential one.
+//! folds, all of it — on every cell, under both event-queue backends, in
+//! the paper's default configuration (communication co-processor on).
 //!
 //! This is the load-bearing guarantee of the O(active)-memory refactor:
 //! sparse mode is a *representation* change, never a *results* change. The
@@ -19,45 +19,26 @@ use proptest::strategy::Strategy as _;
 
 /// Render a run's full report under the given state mode. The audit runs
 /// too: the invariant auditor must accept both representations.
-fn render(
-    build: &dyn Fn() -> SimulationBuilder,
-    mode: StateMode,
-    backend: QueueBackend,
-    shards: usize,
-) -> String {
-    let mut config = build()
-        .state_mode(mode)
-        .queue_backend(backend)
-        .coprocessor(false) // sharded engine requires the co-processor off
-        .config();
+fn render(build: &dyn Fn() -> SimulationBuilder, mode: StateMode, backend: QueueBackend) -> String {
+    let mut config = build().state_mode(mode).queue_backend(backend).config();
     config.machine.audit_every = 100;
-    let report = if shards > 1 {
-        config
-            .run_sharded(shards)
-            .unwrap_or_else(|e| panic!("{mode:?}/{backend:?}/{shards} shards failed: {e:?}"))
-            .0
-    } else {
-        config
-            .run()
-            .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} failed: {e:?}"))
-    };
+    let report = config
+        .run()
+        .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} failed: {e:?}"));
     report.check_invariants();
     format!("{report:#?}")
 }
 
-/// Sparse and dense must render identically for every backend × engine
-/// combination of this configuration.
+/// Sparse and dense must render identically under both queue backends.
 fn assert_sparse_matches_dense(name: &str, build: impl Fn() -> SimulationBuilder) {
     for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        for shards in [1usize, 2] {
-            let dense = render(&build, StateMode::Dense, backend, shards);
-            let sparse = render(&build, StateMode::Sparse, backend, shards);
-            assert!(
-                sparse == dense,
-                "{name} under {backend:?} with {shards} shard(s): sparse state \
-                 diverged from dense\n--- dense ---\n{dense}\n--- sparse ---\n{sparse}"
-            );
-        }
+        let dense = render(&build, StateMode::Dense, backend);
+        let sparse = render(&build, StateMode::Sparse, backend);
+        assert!(
+            sparse == dense,
+            "{name} under {backend:?}: sparse state diverged from dense\n\
+             --- dense ---\n{dense}\n--- sparse ---\n{sparse}"
+        );
     }
 }
 
@@ -96,57 +77,56 @@ fn paper_cells_identical_across_state_modes() {
     }
 }
 
-/// Randomized sweep: topology (grid/torus/dlm ≤ 400 PEs) × strategy ×
-/// workload × seed. Fewer cases than the fixed sweep is deep, but each one
-/// still checks both backends and both engines.
-#[test]
-fn proptest_cells_identical_across_state_modes() {
-    fn topo() -> impl proptest::strategy::Strategy<Value = TopologySpec> {
-        prop_oneof![
-            (2usize..15, 2usize..15, any::<bool>()).prop_map(|(w, h, wrap)| {
-                TopologySpec::Mesh2D {
-                    width: w,
-                    height: h,
-                    wraparound: wrap,
-                }
-            }),
-            (4usize..12).prop_map(TopologySpec::dlm),
-        ]
+fn topo() -> impl proptest::strategy::Strategy<Value = TopologySpec> {
+    prop_oneof![
+        (2usize..15, 2usize..15, any::<bool>()).prop_map(|(w, h, wrap)| {
+            TopologySpec::Mesh2D {
+                width: w,
+                height: h,
+                wraparound: wrap,
+            }
+        }),
+        (4usize..12).prop_map(TopologySpec::dlm),
+    ]
+}
+
+fn strat() -> impl proptest::strategy::Strategy<Value = StrategySpec> {
+    prop_oneof![
+        (2u32..6, 0u32..2).prop_map(|(radius, horizon)| StrategySpec::Cwn {
+            radius,
+            horizon: horizon.min(radius - 1),
+        }),
+        (1u32..3, 0u32..2, 10u64..30).prop_map(|(lwm, extra, interval)| {
+            StrategySpec::Gradient {
+                low_water_mark: lwm,
+                high_water_mark: lwm + extra,
+                interval,
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Randomized sweep: topology (grid/torus/dlm ≤ 400 PEs) × strategy ×
+    /// workload × seed. Fewer cases than the fixed sweep is deep, but each
+    /// one still checks both backends.
+    #[test]
+    fn proptest_cells_identical_across_state_modes(
+        topology in topo(),
+        strategy in strat(),
+        fib in 10i64..14,
+        seed in 1u64..1000,
+    ) {
+        assert_sparse_matches_dense(&format!("{topology}/{strategy}/fib{fib}/s{seed}"), || {
+            SimulationBuilder::new()
+                .topology(topology)
+                .strategy(strategy)
+                .workload(WorkloadSpec::fib(fib))
+                .seed(seed)
+        });
     }
-    fn strat() -> impl proptest::strategy::Strategy<Value = StrategySpec> {
-        prop_oneof![
-            (2u32..6, 0u32..2).prop_map(|(radius, horizon)| StrategySpec::Cwn {
-                radius,
-                horizon: horizon.min(radius - 1),
-            }),
-            (1u32..3, 0u32..2, 10u64..30).prop_map(|(lwm, extra, interval)| {
-                StrategySpec::Gradient {
-                    low_water_mark: lwm,
-                    high_water_mark: lwm + extra,
-                    interval,
-                }
-            }),
-        ]
-    }
-    let mut runner = proptest::test_runner::TestRunner::new(proptest::test_runner::Config {
-        cases: 12,
-        ..proptest::test_runner::Config::default()
-    });
-    runner
-        .run(
-            &(topo(), strat(), 10i64..14, 1u64..1000),
-            |(topology, strategy, fib, seed)| {
-                assert_sparse_matches_dense(&format!("{topology}/{strategy}/fib{fib}/s{seed}"), || {
-                    SimulationBuilder::new()
-                        .topology(topology)
-                        .strategy(strategy)
-                        .workload(WorkloadSpec::fib(fib))
-                        .seed(seed)
-                });
-                Ok(())
-            },
-        )
-        .unwrap();
 }
 
 /// Snapshot round-trip across modes: a sparse machine's v5 snapshot
@@ -164,21 +144,26 @@ fn sparse_snapshot_resumes_bit_identically() {
             .seed(7)
             .config()
     };
-    let mut straight = build().machine().unwrap();
-    straight.begin().unwrap();
-    let done = straight.finish().unwrap();
-    let full = format!("{:#?}", straight.report(done));
+    let straight = build().run().unwrap();
+    let full = format!("{straight:#?}");
 
     let mut first = build().machine().unwrap();
-    first.begin().unwrap();
-    first.advance_until(done / 2).unwrap();
+    first.begin();
+    let finished = first
+        .advance_until(Some(straight.completion_time / 2))
+        .unwrap();
+    assert!(!finished, "the run must pause before it completes");
     let bytes = first.snapshot_bytes();
 
     let mut resumed = build().machine().unwrap();
     resumed.restore_bytes(&bytes).unwrap();
-    let done2 = resumed.finish().unwrap();
-    assert_eq!(done, done2, "resumed run finished at a different time");
-    let report = format!("{:#?}", resumed.report(done2));
+    assert!(resumed.advance_until(None).unwrap());
+    let (report, _) = resumed.finish().unwrap();
+    assert_eq!(
+        straight.completion_time, report.completion_time,
+        "resumed run finished at a different time"
+    );
+    let report = format!("{report:#?}");
     assert!(
         report == full,
         "sparse snapshot resume diverged from the uninterrupted run"
