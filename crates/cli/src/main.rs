@@ -203,19 +203,24 @@ commands:
             --threads caps the worker pool (default: all cores; results
             are identical at any thread count);
             --profile profiles every run and prints the merged roll-up
-  experiment NAME [--quick] [--seed N] [--threads N]
-            regenerate a paper table/figure: table1 | table2 | table3 |
-            plots-dc-grid | plots-dc-dlm | plots-fib | plots-time-grid |
-            plots-time-dlm | appendix | ablations |
-            resilience [--json] (fault-injection extension) |
-            capacity [--json] (open-traffic extension: binary-search the
-            max sustainable Poisson arrival rate per strategy x topology
-            holding a p99 sojourn target) |
-            degradation [--json] [--check] (overload extension: goodput
-            under overload x fault intensity, unprotected vs the full
-            deadline+retry+admission+breaker stack; --check additionally
-            asserts goodput degrades monotonically and every run
-            conserves arrivals, exiting 2 on violation)
+  experiment NAME [--quick] [--seed N] [--threads N] [--json] [--csv]
+            regenerate a paper table/figure or an extension study, printing
+            exactly what regen_all writes to results/: table1 | table2 |
+            table3 | plots-dc-grid | plots-dc-dlm | plots-fib |
+            plots-time-grid | plots-time-dlm | appendix | ablations |
+            seed-robustness | resilience (fault-injection extension) |
+            capacity (open-traffic extension: binary-search the max
+            sustainable Poisson arrival rate per strategy x topology
+            holding a p99 sojourn target) | degradation (overload
+            extension: goodput under overload x fault intensity,
+            unprotected vs the full deadline+retry+admission+breaker
+            stack; always checks that goodput degrades monotonically,
+            every run conserves arrivals and some cell keeps >2x the
+            unprotected goodput, exiting 2 on violation);
+            --json prints only the JSON appendix (resilience, capacity,
+            degradation); --csv prints only the tables, as CSV blocks
+            separated by blank lines; either flag on an experiment
+            without such a section is a configuration error
   topo-info T [T ...] [--dot]
             print PEs, channels, diameter, mean distance — or Graphviz DOT
   list      list the available spec grammars
@@ -335,7 +340,7 @@ const BATCH_FLAGS: FlagSpec = FlagSpec {
 const EXPERIMENT_FLAGS: FlagSpec = FlagSpec {
     command: "experiment",
     values: &["--seed", "--threads"],
-    switches: &["--quick", "--json", "--check"],
+    switches: &["--quick", "--json", "--csv"],
     operands: false,
 };
 
@@ -971,11 +976,14 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
-    use oracle::experiments::{
-        ablations, appendix, capacity, degradation, plots, resilience, table1, table2, table3,
-        Fidelity,
-    };
-    use oracle::topo::TopologySpec as T;
+    print_all(&experiment_text(args)?)
+}
+
+/// `experiment NAME` — render one entry of the experiment registry: the
+/// same bytes `regen_all` writes to `results/`, or only its JSON appendix
+/// (`--json`) or its tables as CSV (`--csv`).
+fn experiment_text(args: &[String]) -> Result<String, Failure> {
+    use oracle::experiments::{registry, Fidelity};
 
     let Some(name) = args.first() else {
         return Err(Failure::config(
@@ -983,6 +991,12 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
         ));
     };
     let flags = Flags::new(&args[1..], &EXPERIMENT_FLAGS)?;
+    let experiment = registry::find(name)
+        .ok_or_else(|| Failure::config(format!("unknown experiment {name:?}; see --help")))?;
+    let (json, csv) = (flags.has("--json"), flags.has("--csv"));
+    if json && csv {
+        return Err(Failure::config("--json and --csv are mutually exclusive"));
+    }
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
@@ -991,191 +1005,35 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
     let seed: u64 = flags.parse("--seed", 1)?;
     apply_threads(&flags)?;
 
-    match name.as_str() {
-        "table1" => {
-            let grid = table1::optimize(fidelity, true, seed);
-            let dlm = table1::optimize(fidelity, false, seed);
-            println!("{}", table1::render(&grid, &dlm));
-        }
-        "table2" => {
-            let cells = table2::run(fidelity, seed);
-            println!("{}", table2::render(&cells));
-            let s = table2::summarize(&cells);
-            println!(
-                "CWN better in {}/{} cells, significantly in {}",
-                s.cwn_wins, s.cells, s.significant
-            );
-        }
-        "table3" => {
-            let d = table3::run(fidelity, seed);
-            println!("{}", table3::render(&d));
-        }
-        "resilience" => {
-            let cells = resilience::run(fidelity, seed);
-            if flags.has("--json") {
-                println!("{}", resilience::to_json(&cells));
-            } else {
-                println!("{}", resilience::render(&cells));
-                let completed = cells.iter().filter(|c| c.completed).count();
-                println!(
-                    "{completed}/{} runs completed with the correct result \
-                     (--json for per-cell fault counters)",
-                    cells.len()
-                );
-            }
-        }
-        "capacity" => {
-            let cells = capacity::run(fidelity, seed);
-            if flags.has("--json") {
-                println!("{}", capacity::to_json(&cells));
-            } else {
-                println!("{}", capacity::render(&cells, fidelity));
-                if let Some(best) = cells
-                    .iter()
-                    .max_by(|a, b| a.max_rate.partial_cmp(&b.max_rate).unwrap())
-                {
-                    println!(
-                        "highest capacity: {}/{} at {:.2} req per 1000 units \
-                         (--json for per-probe data)",
-                        best.topology, best.strategy, best.max_rate
-                    );
-                }
-            }
-        }
-        "degradation" => {
-            let cells = degradation::run(fidelity, seed);
-            let checked = if flags.has("--check") {
-                degradation::verify(&cells).map_err(|e| Failure {
-                    kind: "degradation",
-                    code: 2,
-                    message: format!("degradation physics check failed:\n{e}"),
-                })?;
-                true
-            } else {
-                false
-            };
-            if flags.has("--json") {
-                println!("{}", degradation::to_json(&cells));
-            } else {
-                println!("{}", degradation::render(&cells, fidelity));
-                // Prefer the best *finite* ratio for the headline: where the
-                // unprotected baseline preserved nothing the ratio is inf,
-                // which is the common case, not the interesting one.
-                let finite = cells
-                    .iter()
-                    .filter(|c| c.protection_ratio().is_finite() && c.protection_ratio() > 0.0)
-                    .max_by(|a, b| a.protection_ratio().total_cmp(&b.protection_ratio()));
-                if let Some(best) = finite {
-                    println!(
-                        "best protection: {}/{} under {} faults preserves {:.1}x the \
-                         unprotected goodput (--json for per-cell data)",
-                        best.topology,
-                        best.strategy,
-                        best.fault_name(),
-                        best.protection_ratio()
-                    );
-                } else if cells.iter().any(|c| c.protection_ratio().is_infinite()) {
-                    println!(
-                        "best protection: the protected stack preserved goodput in every \
-                         cell where the unprotected baseline preserved none \
-                         (--json for per-cell data)"
-                    );
-                }
-            }
-            if checked {
-                println!(
-                    "checks passed: goodput monotone non-increasing in fault intensity; \
-                     every run conserves arrivals"
-                );
-            }
-        }
-        "plots-dc-grid" | "plots-dc-dlm" | "plots-fib" => {
-            let fib = name == "plots-fib";
-            let workloads = plots::plot_workloads(fidelity, fib);
-            for &side in fidelity.grid_sides().iter().rev() {
-                let topos: Vec<T> = if fib {
-                    vec![T::dlm(side), T::grid(side)]
-                } else if name == "plots-dc-grid" {
-                    vec![T::grid(side)]
-                } else {
-                    vec![T::dlm(side)]
-                };
-                for topology in topos {
-                    let p = plots::util_vs_goals(topology, &workloads, seed);
-                    println!("{}", plots::render_util_vs_goals(&p));
-                }
-            }
-        }
-        "plots-time-grid" | "plots-time-dlm" => {
-            let (topology, sizes): (T, &[i64]) = match (name.as_str(), fidelity) {
-                ("plots-time-grid", Fidelity::Paper) => (T::grid(10), &[18, 15, 9]),
-                ("plots-time-grid", Fidelity::Quick) => (T::grid(5), &[13, 9]),
-                (_, Fidelity::Paper) => (T::dlm(10), &[18, 15, 9]),
-                (_, Fidelity::Quick) => (T::dlm(5), &[13, 9]),
-            };
-            for &n in sizes {
-                let p = plots::util_vs_time(
-                    topology,
-                    oracle::workloads::WorkloadSpec::fib(n),
-                    100,
-                    seed,
-                );
-                println!("{}", plots::render_util_vs_time(&p));
-                println!(
-                    "{}",
-                    oracle::chart::cwn_gm_chart(
-                        format!("{} on {}", p.workload, p.topology),
-                        "time (units)",
-                        &p.cwn,
-                        &p.gm
-                    )
-                );
-            }
-        }
-        "appendix" => {
-            for p in appendix::goals_plots(fidelity, seed) {
-                println!("{}", plots::render_util_vs_goals(&p));
-            }
-            for p in appendix::time_plots(fidelity, seed) {
-                println!("{}", plots::render_util_vs_time(&p));
-            }
-        }
-        "ablations" => {
-            let sections = [
-                ("CWN radius sweep", ablations::radius_sweep(fidelity, seed)),
-                (
-                    "CWN horizon sweep",
-                    ablations::horizon_sweep(fidelity, seed),
-                ),
-                (
-                    "GM interval sweep",
-                    ablations::gm_interval_sweep(fidelity, seed),
-                ),
-                ("Load metric", ablations::load_metric(fidelity, seed)),
-                ("Load information", ablations::load_info(fidelity, seed)),
-                ("Co-processor", ablations::coprocessor(fidelity, seed)),
-                (
-                    "Comm/computation ratio",
-                    ablations::comm_ratio(fidelity, seed),
-                ),
-                ("Wraparound", ablations::wraparound(fidelity, seed)),
-                ("Shootout", ablations::shootout(fidelity, seed)),
-                (
-                    "Global scalability",
-                    ablations::global_scalability(fidelity, seed),
-                ),
-            ];
-            for (title, points) in sections {
-                println!("{}", ablations::render(title, &points));
-            }
-        }
-        other => {
-            return Err(Failure::config(format!(
-                "unknown experiment {other:?}; see --help"
-            )))
-        }
+    let output = (experiment.run)(fidelity, seed).map_err(|message| Failure {
+        kind: "experiment",
+        code: 2,
+        message: format!("{name}: {message}"),
+    })?;
+    if json {
+        output
+            .json()
+            .ok_or_else(|| Failure::config(format!("experiment {name} has no JSON section")))
+    } else if csv {
+        output
+            .csv()
+            .ok_or_else(|| Failure::config(format!("experiment {name} has no table")))
+    } else {
+        Ok(output.text())
     }
-    Ok(())
+}
+
+/// Write `text` to stdout in one go. A reader that went away early (`|
+/// head`) is not an error: the exit stays 0 and nothing reaches stderr.
+fn print_all(text: &str) -> Result<(), Failure> {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(Failure::io(format!("stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Failure> {
@@ -1570,7 +1428,7 @@ mod tests {
 
     #[test]
     fn experiment_degradation_quick_smoke() {
-        cmd_experiment(&flags(&["degradation", "--quick", "--check"])).expect("degradation quick");
+        cmd_experiment(&flags(&["degradation", "--quick"])).expect("degradation quick");
         cmd_experiment(&flags(&["degradation", "--quick", "--json"])).expect("degradation json");
     }
 
@@ -1677,6 +1535,50 @@ mod tests {
         let err = cmd_experiment(&flags(&["not-a-table"])).unwrap_err();
         assert!(err.message.contains("unknown experiment"));
         assert!(cmd_experiment(&[]).is_err());
+    }
+
+    #[test]
+    fn usage_lists_every_registered_experiment() {
+        let block = USAGE
+            .split("\n  experiment NAME")
+            .nth(1)
+            .and_then(|rest| rest.split("\n  topo-info").next())
+            .expect("experiment block in USAGE");
+        let listed: Vec<&str> = block
+            .split(|c: char| c.is_whitespace() || c == '|' || c == ':')
+            .collect();
+        for e in &oracle::experiments::registry::REGISTRY {
+            assert!(
+                listed.contains(&e.name),
+                "USAGE omits experiment {}",
+                e.name
+            );
+        }
+        // Accepted: the name resolves, and flag checking happens before any
+        // run (a bad seed is rejected without running anything).
+        for e in &oracle::experiments::registry::REGISTRY {
+            let err = experiment_text(&flags(&[e.name, "--seed", "x"])).unwrap_err();
+            assert!(
+                err.message.contains("--seed"),
+                "{}: {}",
+                e.name,
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn experiment_config_errors_exit_3() {
+        for args in [
+            &["not-a-table", "--quick"][..],
+            &["table3", "--quick", "--json"],
+            &["table3", "--quick", "--json", "--csv"],
+        ] {
+            let err = experiment_text(&flags(args)).unwrap_err();
+            assert_eq!((err.kind, err.code), ("config", 3), "{args:?}");
+        }
+        experiment_text(&flags(&["table3", "--quick", "--csv"])).expect("table3 csv");
+        experiment_text(&flags(&["resilience", "--quick", "--json"])).expect("resilience json");
     }
 
     #[test]

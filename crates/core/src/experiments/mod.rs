@@ -13,6 +13,10 @@
 //! | Resilience under faults (extension) | [`resilience`] |
 //! | Open-traffic capacity search (extension) | [`capacity`] |
 //! | Graceful degradation under overload (extension) | [`degradation`] |
+//! | Seed robustness of the headline (extension) | [`registry`] |
+//!
+//! [`registry::REGISTRY`] names every experiment and fixes what it prints;
+//! `oracle-cli experiment` and `regen_all` both render from it.
 //!
 //! Every function takes a [`Fidelity`]: `Paper` reruns the full
 //! configuration grid (minutes), `Quick` a miniature that exercises the same
@@ -23,6 +27,7 @@ pub mod appendix;
 pub mod capacity;
 pub mod degradation;
 pub mod plots;
+pub mod registry;
 pub mod resilience;
 pub mod table1;
 pub mod table2;
