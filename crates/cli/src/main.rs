@@ -8,6 +8,7 @@
 //! oracle-cli list
 //! ```
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -15,6 +16,14 @@ use oracle::builder::paper_strategies;
 use oracle::checkpoint::CheckpointError;
 use oracle::prelude::*;
 use oracle::table::{f1, f2};
+
+/// `println!` into a `String`: every subcommand builds its whole output
+/// and prints it with one [`print_all`]. Writing to a `String` cannot fail.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
 
 /// A classified command failure: `kind` is the machine-readable class in
 /// the one-line stderr summary (`error[kind]: message`), `code` the
@@ -106,14 +115,8 @@ fn main() -> ExitCode {
         "chaos" => cmd_chaos(&args[1..]),
         "trace-check" => cmd_trace_check(&args[1..]),
         "topo-info" => cmd_topo_info(&args[1..]),
-        "list" => {
-            print_list();
-            Ok(())
-        }
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "list" => print_all(&list_text()),
+        "--help" | "-h" | "help" => print_all(&format!("{USAGE}\n")),
         other => Err(Failure::config(format!(
             "unknown command {other:?}\n{USAGE}"
         ))),
@@ -147,7 +150,7 @@ commands:
             arrive per SPEC, each spawning one task tree of --workload,
             for --duration sim units (default 20000) with the first
             --warmup units (default duration/10) excluded from latency
-            statistics; `--workload open:ARRIVAL/WORKLOAD` is equivalent;
+            statistics;
             --deadline T abandons requests whose sojourn exceeds T (a
             completion past it is a dead loss, not a success);
             --retry MAXxBASE re-injects requests lost to crashes or link
@@ -234,7 +237,7 @@ spec grammars:
             diffusion[:INTERVALxTHRESHOLDxMAX] | global
   workload: fib:18 | dc:4181 | dc:1x4181 | lopsided:BUDGETxSKEW% |
             random:BUDGETxMAXCHILDxGRAINxSEED | cyclic:PHASESxWIDTHxLEAVES |
-            tak:18x12x6 | open:ARRIVAL/WORKLOAD
+            tak:18x12x6
   arrivals: PROCESS[@EDGES] where PROCESS is poisson:RATE |
             burst:HIxLOxONxOFF | diurnal:PEAKxPERIOD | trace:PATH
             (rates are arrivals per 1000 time units) and EDGES is
@@ -361,15 +364,21 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Check `args` against `spec`. An unknown flag, a value flag without
-    /// its value, or a stray bare argument is a configuration error that
-    /// names the offending argument — a misspelt or retired flag must
-    /// never run something other than what was asked for.
+    /// its value or given twice, or a stray bare argument is a
+    /// configuration error that names the offending argument — a misspelt,
+    /// retired or repeated flag must never run something other than what
+    /// was asked for.
     fn new(args: &'a [String], spec: &FlagSpec) -> Result<Flags<'a>, Failure> {
         let mut operands = Vec::new();
+        let mut seen: Vec<&str> = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let arg = args[i].as_str();
             if spec.values.contains(&arg) {
+                if seen.contains(&arg) {
+                    return Err(Failure::config(format!("{arg} given more than once")));
+                }
+                seen.push(arg);
                 match args.get(i + 1) {
                     Some(v) if !v.starts_with("--") => i += 2,
                     _ => return Err(Failure::config(format!("{arg} needs a value"))),
@@ -471,67 +480,14 @@ fn parse_faults_flag(flags: &Flags) -> Result<oracle::model::FaultPlan, Failure>
 /// runs, still bounded.
 const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
 
-/// Resolve the open-traffic flags (`--arrivals`, `--duration`, `--warmup`)
-/// and the `open:` workload spelling into the machine's traffic config.
-fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, Failure> {
-    let arrivals = match (workload, flags.value_of("--arrivals")) {
-        (AnyWorkload::Open(_), Some(_)) => {
-            return Err(Failure::config(
-                "--arrivals conflicts with an open: workload — pick one spelling",
-            ))
-        }
-        (AnyWorkload::Open(o), None) => Some(o.arrivals.clone()),
-        (AnyWorkload::Closed(_), Some(spec)) => Some(
-            spec.parse::<ArrivalSpec>()
-                .map_err(|e| Failure::config(format!("--arrivals: {e}")))?,
-        ),
-        (AnyWorkload::Closed(_), None) => None,
-    };
-    let Some(arrivals) = arrivals else {
-        for flag in [
-            "--duration",
-            "--warmup",
-            "--deadline",
-            "--retry",
-            "--admission",
-            "--breaker",
-        ] {
-            if flags.value_of(flag).is_some() {
-                return Err(Failure::config(format!(
-                    "{flag} requires --arrivals SPEC or an open: workload"
-                )));
-            }
-        }
-        return Ok(None);
-    };
-    let duration: u64 = flags.parse("--duration", oracle::runner::DEFAULT_OPEN_DURATION)?;
-    let mut open = OpenTraffic::new(arrivals, duration);
-    open.warmup = flags.parse("--warmup", open.warmup)?;
-    if let Some(v) = flags.value_of("--deadline") {
-        open.deadline = Some(
-            v.parse()
-                .map_err(|e| Failure::config(format!("--deadline {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--retry") {
-        open.retry = Some(
-            v.parse::<RetryPolicy>()
-                .map_err(|e| Failure::config(format!("--retry {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--admission") {
-        open.admission = Some(
-            v.parse::<AdmissionPolicy>()
-                .map_err(|e| Failure::config(format!("--admission {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--breaker") {
-        open.breaker = Some(
-            v.parse()
-                .map_err(|e| Failure::config(format!("--breaker {v:?}: {e}")))?,
-        );
-    }
-    Ok(Some(open))
+/// Resolve the open-traffic flags (`--arrivals`, `--duration`, ...) into
+/// the machine's traffic config, through the parser suite lines share.
+fn parse_open_flags(flags: &Flags) -> Result<Option<OpenTraffic>, Failure> {
+    oracle::runner::parse_open_traffic(
+        |field| flags.value_of(&format!("--{field}")),
+        |field| format!("--{field}"),
+    )
+    .map_err(Failure::config)
 }
 
 /// Classify a degraded open-traffic outcome after its report was printed:
@@ -584,19 +540,23 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         }
         let (config, report) = oracle::checkpoint::resume_run(Path::new(path))
             .map_err(|e| checkpoint_failure(e).context(path))?;
-        println!(
+        let mut out = String::new();
+        outln!(
+            out,
             "resumed {} on {} under {} from {path}",
-            config.workload, config.topology, config.strategy
+            config.workload,
+            config.topology,
+            config.strategy
         );
-        print_report(&report, &flags);
+        write_report(&mut out, &report, &flags);
+        print_all(&out)?;
         return open_outcome_failure(&report);
     }
 
     let topology: TopologySpec = flags.parse("--topology", TopologySpec::grid(10))?;
     let strategy: StrategySpec = flags.parse("--strategy", StrategySpec::cwn_paper(true))?;
-    let any: AnyWorkload = flags.parse("--workload", AnyWorkload::Closed(WorkloadSpec::fib(15)))?;
-    let workload = any.workload();
-    let open = parse_open_flags(&flags, &any)?;
+    let workload: WorkloadSpec = flags.parse("--workload", WorkloadSpec::fib(15))?;
+    let open = parse_open_flags(&flags)?;
     let seed: u64 = flags.parse("--seed", 1)?;
     let audit_every: u64 = flags.parse("--audit-every", 0)?;
     let faults = parse_faults_flag(&flags)?;
@@ -646,21 +606,25 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             ));
         }
         let dir = flags.value_of("--checkpoint-dir").unwrap_or("checkpoints");
-        let out =
+        let run =
             oracle::checkpoint::run_with_checkpoints(&config, checkpoint_every, Path::new(dir))
                 .map_err(checkpoint_failure)?;
-        for path in &out.checkpoints {
-            println!("checkpoint: {}", path.display());
+        let mut out = String::new();
+        for path in &run.checkpoints {
+            outln!(out, "checkpoint: {}", path.display());
         }
-        print_report(&out.report, &flags);
-        return open_outcome_failure(&out.report);
+        write_report(&mut out, &run.report, &flags);
+        print_all(&out)?;
+        return open_outcome_failure(&run.report);
     }
 
     let (report, trace) = config.run_traced().map_err(sim_failure)?;
+    let mut out = String::new();
     if let Some(path) = trace_out {
         let text = export_trace(&trace, &report, trace_format);
         std::fs::write(path, &text).map_err(|e| Failure::io(format!("writing {path}: {e}")))?;
-        println!(
+        outln!(
+            out,
             "wrote {} trace to {path} ({} events, {} dropped)",
             match trace_format {
                 TraceFormat::Jsonl => "jsonl",
@@ -673,7 +637,8 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     if let Some(path) = series_out {
         let csv = export_series_csv(&report);
         std::fs::write(path, &csv).map_err(|e| Failure::io(format!("writing {path}: {e}")))?;
-        println!(
+        outln!(
+            out,
             "wrote utilization series to {path} ({} intervals x {} PEs)",
             report.util_series.len(),
             report.num_pes
@@ -687,20 +652,22 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         let img = oracle::heatmap::render(series, 4);
         img.write_to(path)
             .map_err(|e| Failure::io(format!("writing {path}: {e}")))?;
-        println!(
+        outln!(
+            out,
             "wrote load-monitor heatmap to {path} ({}x{} px)",
             img.width(),
             img.height()
         );
     }
 
-    print_report(&report, &flags);
+    write_report(&mut out, &report, &flags);
     if trace.dropped() > 0 {
         let what = match trace.mode() {
             TraceMode::KeepFirst => "dropped past capacity",
             TraceMode::KeepLast => "overwritten (ring mode)",
         };
-        println!(
+        outln!(
+            out,
             "warning: trace truncated — {} of {} events {what}",
             trace.dropped(),
             trace.dropped() + trace.len() as u64
@@ -713,9 +680,10 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             TraceMode::KeepFirst => "first",
             TraceMode::KeepLast => "last",
         };
-        println!("\nevent trace ({which} {} events):", trace.len());
-        print!("{}", trace.render());
+        outln!(out, "\nevent trace ({which} {} events):", trace.len());
+        out.push_str(&trace.render());
     }
+    print_all(&out)?;
     open_outcome_failure(&report)
 }
 
@@ -736,8 +704,8 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
         code: 3,
         message: format!("{path}: {e}"),
     })?;
-    println!(
-        "{path}: valid {} trace — {} events, {} tracks, {} dropped",
+    print_all(&format!(
+        "{path}: valid {} trace — {} events, {} tracks, {} dropped\n",
         match format {
             TraceFormat::Jsonl => "jsonl",
             TraceFormat::Chrome => "chrome",
@@ -745,110 +713,125 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
         summary.events,
         summary.tracks,
         summary.dropped
-    );
-    Ok(())
+    ))
 }
 
-fn print_report(report: &Report, flags: &Flags) {
+fn write_report(out: &mut String, report: &Report, flags: &Flags) {
     if flags.has("--csv") {
-        println!("metric,value");
-        println!("strategy,{}", report.strategy);
-        println!("topology,{}", report.topology);
-        println!("program,{}", report.program);
-        println!("num_pes,{}", report.num_pes);
-        println!("completion_time,{}", report.completion_time);
-        println!("result,{}", report.result);
-        println!("goals,{}", report.goals_executed);
+        outln!(out, "metric,value");
+        outln!(out, "strategy,{}", report.strategy);
+        outln!(out, "topology,{}", report.topology);
+        outln!(out, "program,{}", report.program);
+        outln!(out, "num_pes,{}", report.num_pes);
+        outln!(out, "completion_time,{}", report.completion_time);
+        outln!(out, "result,{}", report.result);
+        outln!(out, "goals,{}", report.goals_executed);
         // Fraction in [0, 1], like every utilization the tool emits.
-        println!("avg_utilization,{:.5}", report.avg_utilization);
-        println!("speedup,{:.3}", report.speedup);
-        println!("avg_goal_distance,{:.3}", report.avg_goal_distance);
-        println!("hop_overflow,{}", report.hop_overflow);
-        println!("goal_hops,{}", report.traffic.goal_hops);
-        println!("response_hops,{}", report.traffic.response_hops);
-        println!("control_msgs,{}", report.traffic.control_msgs);
-        println!("load_updates,{}", report.traffic.load_updates);
-        println!("events,{}", report.events);
+        outln!(out, "avg_utilization,{:.5}", report.avg_utilization);
+        outln!(out, "speedup,{:.3}", report.speedup);
+        outln!(out, "avg_goal_distance,{:.3}", report.avg_goal_distance);
+        outln!(out, "hop_overflow,{}", report.hop_overflow);
+        outln!(out, "goal_hops,{}", report.traffic.goal_hops);
+        outln!(out, "response_hops,{}", report.traffic.response_hops);
+        outln!(out, "control_msgs,{}", report.traffic.control_msgs);
+        outln!(out, "load_updates,{}", report.traffic.load_updates);
+        outln!(out, "events,{}", report.events);
         if report.faults.any() {
-            println!("pes_crashed,{}", report.faults.pes_crashed);
-            println!("goals_lost,{}", report.faults.goals_lost);
-            println!("goals_respawned,{}", report.faults.goals_respawned);
-            println!("messages_dropped,{}", report.faults.messages_dropped);
-            println!("duplicate_responses,{}", report.faults.duplicate_responses);
-            println!("retries_exhausted,{}", report.faults.retries_exhausted);
+            outln!(out, "pes_crashed,{}", report.faults.pes_crashed);
+            outln!(out, "goals_lost,{}", report.faults.goals_lost);
+            outln!(out, "goals_respawned,{}", report.faults.goals_respawned);
+            outln!(out, "messages_dropped,{}", report.faults.messages_dropped);
+            outln!(
+                out,
+                "duplicate_responses,{}",
+                report.faults.duplicate_responses
+            );
+            outln!(out, "retries_exhausted,{}", report.faults.retries_exhausted);
         }
         if let Some(o) = &report.open {
             match o.outcome {
-                OpenOutcome::Completed => println!("open_outcome,completed"),
+                OpenOutcome::Completed => outln!(out, "open_outcome,completed"),
                 OpenOutcome::Saturated { at, inflight } => {
-                    println!("open_outcome,saturated");
-                    println!("saturated_at,{at}");
-                    println!("saturated_inflight,{inflight}");
+                    outln!(out, "open_outcome,saturated");
+                    outln!(out, "saturated_at,{at}");
+                    outln!(out, "saturated_inflight,{inflight}");
                 }
                 OpenOutcome::Overloaded { shed, arrivals } => {
-                    println!("open_outcome,overloaded");
-                    println!("overloaded_shed,{shed}");
-                    println!("overloaded_arrivals,{arrivals}");
+                    outln!(out, "open_outcome,overloaded");
+                    outln!(out, "overloaded_shed,{shed}");
+                    outln!(out, "overloaded_arrivals,{arrivals}");
                 }
                 OpenOutcome::DeadlineExhausted { abandoned } => {
-                    println!("open_outcome,deadline-exhausted");
-                    println!("deadline_abandoned,{abandoned}");
+                    outln!(out, "open_outcome,deadline-exhausted");
+                    outln!(out, "deadline_abandoned,{abandoned}");
                 }
             }
-            println!("open_duration,{}", o.duration);
-            println!("open_warmup,{}", o.warmup);
-            println!("arrivals_total,{}", o.arrivals);
-            println!("completions_total,{}", o.completions);
-            println!("completions_measured,{}", o.completions_measured);
-            println!("inflight_at_end,{}", o.inflight_at_end);
-            println!("offered_rate,{:.4}", o.offered_rate);
-            println!("throughput,{:.4}", o.throughput);
-            println!("goodput,{:.4}", o.goodput);
+            outln!(out, "open_duration,{}", o.duration);
+            outln!(out, "open_warmup,{}", o.warmup);
+            outln!(out, "arrivals_total,{}", o.arrivals);
+            outln!(out, "completions_total,{}", o.completions);
+            outln!(out, "completions_measured,{}", o.completions_measured);
+            outln!(out, "inflight_at_end,{}", o.inflight_at_end);
+            outln!(out, "offered_rate,{:.4}", o.offered_rate);
+            outln!(out, "throughput,{:.4}", o.throughput);
+            outln!(out, "goodput,{:.4}", o.goodput);
             if let Some(d) = o.deadline {
-                println!("deadline,{d}");
+                outln!(out, "deadline,{d}");
             }
-            println!("shed,{}", o.shed);
-            println!("shed_rate,{:.4}", o.shed_rate);
-            println!("abandoned_deadline,{}", o.abandoned_deadline);
-            println!("abandoned_retries,{}", o.abandoned_retries);
-            println!("abandonment_rate,{:.4}", o.abandonment_rate);
-            println!("retries,{}", o.retries);
-            println!("breaker_opens,{}", o.breaker_opens);
-            println!("sojourn_mean,{:.2}", o.sojourn_mean);
-            println!("sojourn_p50,{}", o.sojourn_p50);
-            println!("sojourn_p95,{}", o.sojourn_p95);
-            println!("sojourn_p99,{}", o.sojourn_p99);
-            println!("sojourn_max,{}", o.sojourn_max);
-            println!("qlen_time_avg,{:.2}", o.qlen_time_avg);
-            println!("qlen_p95,{}", o.qlen_p95);
+            outln!(out, "shed,{}", o.shed);
+            outln!(out, "shed_rate,{:.4}", o.shed_rate);
+            outln!(out, "abandoned_deadline,{}", o.abandoned_deadline);
+            outln!(out, "abandoned_retries,{}", o.abandoned_retries);
+            outln!(out, "abandonment_rate,{:.4}", o.abandonment_rate);
+            outln!(out, "retries,{}", o.retries);
+            outln!(out, "breaker_opens,{}", o.breaker_opens);
+            outln!(out, "sojourn_mean,{:.2}", o.sojourn_mean);
+            outln!(out, "sojourn_p50,{}", o.sojourn_p50);
+            outln!(out, "sojourn_p95,{}", o.sojourn_p95);
+            outln!(out, "sojourn_p99,{}", o.sojourn_p99);
+            outln!(out, "sojourn_max,{}", o.sojourn_max);
+            outln!(out, "qlen_time_avg,{:.2}", o.qlen_time_avg);
+            outln!(out, "qlen_p95,{}", o.qlen_p95);
         }
     } else {
-        println!(
+        outln!(
+            out,
             "{} on {} under {}",
-            report.program, report.topology, report.strategy
+            report.program,
+            report.topology,
+            report.strategy
         );
-        println!("  result            {}", report.result);
-        println!("  goals             {}", report.goals_executed);
-        println!("  completion time   {} units", report.completion_time);
-        println!(
+        outln!(out, "  result            {}", report.result);
+        outln!(out, "  goals             {}", report.goals_executed);
+        outln!(out, "  completion time   {} units", report.completion_time);
+        outln!(
+            out,
             "  avg utilization   {:.1} %",
             report.avg_utilization * 100.0
         );
-        println!(
+        outln!(
+            out,
             "  speedup           {:.2} on {} PEs",
-            report.speedup, report.num_pes
+            report.speedup,
+            report.num_pes
         );
-        println!("  avg goal distance {:.2} hops", report.avg_goal_distance);
-        println!(
+        outln!(
+            out,
+            "  avg goal distance {:.2} hops",
+            report.avg_goal_distance
+        );
+        outln!(
+            out,
             "  traffic           goal {} / response {} / control {} / load {}",
             report.traffic.goal_hops,
             report.traffic.response_hops,
             report.traffic.control_msgs,
             report.traffic.load_updates
         );
-        println!("  events processed  {}", report.events);
+        outln!(out, "  events processed  {}", report.events);
         if report.faults.any() {
-            println!(
+            outln!(
+                out,
                 "  faults            {} PE crash(es), {} goals lost, {} re-spawned, \
                  {} messages dropped",
                 report.faults.pes_crashed,
@@ -870,21 +853,31 @@ fn print_report(report: &Report, flags: &Flags) {
                     format!("DEADLINE EXHAUSTED ({abandoned} requests blew their budget)")
                 }
             };
-            println!(
+            outln!(
+                out,
                 "  open traffic      {outcome} (duration {}, warmup {})",
-                o.duration, o.warmup
+                o.duration,
+                o.warmup
             );
-            println!(
+            outln!(
+                out,
                 "  requests          {} arrived / {} completed ({} measured, {} in flight at end)",
-                o.arrivals, o.completions, o.completions_measured, o.inflight_at_end
+                o.arrivals,
+                o.completions,
+                o.completions_measured,
+                o.inflight_at_end
             );
-            println!(
+            outln!(
+                out,
                 "  rates             offered {:.2} / carried {:.2} / useful {:.2} req per \
                  1000 units",
-                o.offered_rate, o.throughput, o.goodput
+                o.offered_rate,
+                o.throughput,
+                o.goodput
             );
             if o.deadline.is_some() || o.shed > 0 || o.retries > 0 {
-                println!(
+                outln!(
+                    out,
                     "  overload          {} shed ({:.1} %) / {} past deadline / {} out of \
                      retries ({:.1} % abandoned) / {} retries / {} breaker opens",
                     o.shed,
@@ -896,25 +889,32 @@ fn print_report(report: &Report, flags: &Flags) {
                     o.breaker_opens
                 );
             }
-            println!(
+            outln!(
+                out,
                 "  sojourn           mean {:.1} / p50 {} / p95 {} / p99 {} / max {} units",
-                o.sojourn_mean, o.sojourn_p50, o.sojourn_p95, o.sojourn_p99, o.sojourn_max
+                o.sojourn_mean,
+                o.sojourn_p50,
+                o.sojourn_p95,
+                o.sojourn_p99,
+                o.sojourn_max
             );
-            println!(
+            outln!(
+                out,
                 "  queue length      time-avg {:.2} / p95 {}",
-                o.qlen_time_avg, o.qlen_p95
+                o.qlen_time_avg,
+                o.qlen_p95
             );
         }
     }
     if flags.has("--series") {
-        println!("\nutilization over time (interval start, %):");
+        outln!(out, "\nutilization over time (interval start, %):");
         for (t, u) in &report.util_series {
-            println!("  {t},{:.1}", u * 100.0);
+            outln!(out, "  {t},{:.1}", u * 100.0);
         }
     }
     if let Some(profile) = &report.profile {
-        println!("\nengine profile:");
-        print!("{}", profile.render());
+        outln!(out, "\nengine profile:");
+        out.push_str(&profile.render());
     }
 }
 
@@ -936,29 +936,33 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
     config.stall_timeout = std::time::Duration::from_secs(stall_secs);
     let out_dir = flags.value_of("--out");
 
-    println!(
+    let mut out = String::new();
+    outln!(
+        out,
         "chaos sweep: {} cases, master seed {}, {} threads, auditor every {} events",
-        config.cases, config.seed, config.threads, config.audit_every
+        config.cases,
+        config.seed,
+        config.threads,
+        config.audit_every
     );
     let report = oracle::chaos::run_chaos(&config);
     for (case, outcome) in &report.outcomes {
-        println!("  {} -> {outcome}", case.label());
+        outln!(out, "  {} -> {outcome}", case.label());
     }
-    println!(
+    outln!(
+        out,
         "chaos summary: {} completed, {} contained, {} failures",
         report.count("completed"),
         report.count("contained"),
         report.failures.len()
     );
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| Failure::io(format!("{dir}: {e}")))?;
-        for failure in &report.failures {
-            let path = format!("{dir}/chaos-repro-{:03}.suite", failure.case.index);
-            std::fs::write(&path, failure.reproducer())
-                .map_err(|e| Failure::io(format!("{path}: {e}")))?;
-            println!("wrote reproducer {path}");
-        }
-    }
+    // The sweep's lines are printed even when saving a reproducer fails.
+    let saved = match out_dir {
+        Some(dir) => save_reproducers(dir, &report.failures, &mut out),
+        None => Ok(()),
+    };
+    print_all(&out)?;
+    saved?;
     if let Some(worst) = report.failures.first() {
         return Err(Failure {
             kind: "chaos",
@@ -971,6 +975,23 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
                 worst.shrunk_outcome
             ),
         });
+    }
+    Ok(())
+}
+
+/// Write each failure's shrunk reproducer into `dir` (created even when
+/// nothing failed), noting each file written in `out`.
+fn save_reproducers(
+    dir: &str,
+    failures: &[oracle::chaos::ChaosFailure],
+    out: &mut String,
+) -> Result<(), Failure> {
+    std::fs::create_dir_all(dir).map_err(|e| Failure::io(format!("{dir}: {e}")))?;
+    for failure in failures {
+        let path = format!("{dir}/chaos-repro-{:03}.suite", failure.case.index);
+        std::fs::write(&path, failure.reproducer())
+            .map_err(|e| Failure::io(format!("{path}: {e}")))?;
+        outln!(out, "wrote reproducer {path}");
     }
     Ok(())
 }
@@ -1025,6 +1046,7 @@ fn experiment_text(args: &[String]) -> Result<String, Failure> {
 
 /// Write `text` to stdout in one go. A reader that went away early (`|
 /// head`) is not an error: the exit stays 0 and nothing reaches stderr.
+#[cfg(not(test))]
 fn print_all(text: &str) -> Result<(), Failure> {
     use std::io::Write as _;
     let mut out = std::io::stdout().lock();
@@ -1034,6 +1056,14 @@ fn print_all(text: &str) -> Result<(), Failure> {
         }
         _ => Ok(()),
     }
+}
+
+/// Unit tests call the subcommands in-process; `print!` keeps their output
+/// in the test harness's capture instead of on the real stdout.
+#[cfg(test)]
+fn print_all(text: &str) -> Result<(), Failure> {
+    print!("{text}");
+    Ok(())
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Failure> {
@@ -1068,16 +1098,16 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
             rollup.merge(p);
         }
     }
-    if flags.has("--csv") {
-        print!("{}", table.to_csv());
+    let mut out = if flags.has("--csv") {
+        table.to_csv()
     } else {
-        println!("{table}");
-    }
+        format!("{table}\n")
+    };
     if profile {
-        println!("\nbatch engine profile (all runs merged):");
-        print!("{}", rollup.render());
+        outln!(out, "\nbatch engine profile (all runs merged):");
+        out.push_str(&rollup.render());
     }
-    Ok(())
+    print_all(&out)
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), Failure> {
@@ -1124,9 +1154,10 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
             f2(r.avg_goal_distance),
         ]);
     }
-    println!("{table}");
-    println!("speedup of CWN over GM: {:.2}", speedups[0] / speedups[1]);
-    Ok(())
+    print_all(&format!(
+        "{table}\nspeedup of CWN over GM: {:.2}\n",
+        speedups[0] / speedups[1]
+    ))
 }
 
 fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
@@ -1138,13 +1169,14 @@ fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
     }
     // `--dot` prints Graphviz for each spec instead of the table.
     if flags.has("--dot") {
+        let mut out = String::new();
         for arg in &flags.operands {
             let spec: TopologySpec = arg
                 .parse()
                 .map_err(|e: oracle::topo::spec::ParseSpecError| e.to_string())?;
-            print!("{}", spec.build().to_dot());
+            out.push_str(&spec.build().to_dot());
         }
-        return Ok(());
+        return print_all(&out);
     }
     let mut table = Table::new(
         "Topology characteristics",
@@ -1177,16 +1209,20 @@ fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
             max_deg.to_string(),
         ]);
     }
-    println!("{table}");
-    Ok(())
+    print_all(&format!("{table}\n"))
 }
 
-fn print_list() {
-    println!("{USAGE}");
-    println!("\npaper presets (Table 1):");
-    println!("  grids:          cwn:9x1   gm:1x2x20");
-    println!("  lattice-meshes: cwn:5x1   gm:1x1x20");
-    println!("\npaper configurations: grid/dlm sides 5, 8, 10, 16, 20; fib 7-18; dc 21-4181");
+fn list_text() -> String {
+    let mut out = String::new();
+    outln!(out, "{USAGE}");
+    outln!(out, "\npaper presets (Table 1):");
+    outln!(out, "  grids:          cwn:9x1   gm:1x2x20");
+    outln!(out, "  lattice-meshes: cwn:5x1   gm:1x1x20");
+    outln!(
+        out,
+        "\npaper configurations: grid/dlm sides 5, 8, 10, 16, 20; fib 7-18; dc 21-4181"
+    );
+    out
 }
 
 #[cfg(test)]
@@ -1287,6 +1323,48 @@ mod tests {
     }
 
     #[test]
+    fn repeated_value_flags_are_config_errors() {
+        let a = flags(&["--topology", "grid:6", "--topology", "grid:4", "--csv"]);
+        let err = Flags::new(&a, &RUN_FLAGS).err().expect("must be rejected");
+        assert_eq!((err.kind, err.code), ("config", 3));
+        assert!(err.message.contains("--topology"), "{}", err.message);
+        let err = cmd_run(&a).unwrap_err();
+        assert_eq!((err.kind, err.code), ("config", 3));
+        // A repeated switch is harmless and stays accepted.
+        Flags::new(&flags(&["--csv", "--csv"]), &RUN_FLAGS).expect("switches may repeat");
+    }
+
+    #[test]
+    fn suite_fields_and_run_flags_build_the_same_traffic() {
+        let line = "grid:4 cwn:4x1 fib:8 arrivals=poisson:3@root duration=4000 warmup=300 \
+                    deadline=900 retry=3x100 admission=bucket:12x5 breaker=400\n";
+        let from_suite = oracle::runner::parse_suite(line).unwrap()[0]
+            .config
+            .machine
+            .open
+            .clone();
+        let a = flags(&[
+            "--arrivals",
+            "poisson:3@root",
+            "--duration",
+            "4000",
+            "--warmup",
+            "300",
+            "--deadline",
+            "900",
+            "--retry",
+            "3x100",
+            "--admission",
+            "bucket:12x5",
+            "--breaker",
+            "400",
+        ]);
+        let from_flags = parse_open_flags(&Flags::new(&a, &RUN_FLAGS).unwrap()).unwrap();
+        assert!(from_flags.is_some());
+        assert_eq!(from_suite, from_flags);
+    }
+
+    #[test]
     fn usage_and_flag_specs_agree() {
         for spec in ALL_SPECS {
             let listed = usage_flags(spec.command);
@@ -1376,18 +1454,6 @@ mod tests {
             "--csv",
         ]);
         cmd_run(&a).expect("open run should succeed");
-        // The combined `open:` workload spelling is equivalent.
-        let a = flags(&[
-            "--topology",
-            "grid:4",
-            "--strategy",
-            "cwn:4x1",
-            "--workload",
-            "open:poisson:4/fib:8",
-            "--duration",
-            "2000",
-        ]);
-        cmd_run(&a).expect("open: workload run should succeed");
     }
 
     #[test]
@@ -1398,22 +1464,9 @@ mod tests {
         assert_eq!((err.kind, err.code), ("config", 3));
         assert!(err.message.contains("\"-3\""), "{}", err.message);
         assert!(err.message.contains("PROCESS[@EDGES]"), "{}", err.message);
-        // Bad open: workload spelling too.
-        let err = cmd_run(&flags(&["--workload", "open:nope:1/fib:8"])).unwrap_err();
-        assert_eq!((err.kind, err.code), ("config", 3));
-        assert!(
-            err.message.contains("open:ARRIVAL/WORKLOAD"),
-            "{}",
-            err.message
-        );
-        // Both spellings at once conflict.
-        let err = cmd_run(&flags(&[
-            "--workload",
-            "open:poisson:4/fib:8",
-            "--arrivals",
-            "poisson:4",
-        ]))
-        .unwrap_err();
+        // Open traffic has one spelling, `--arrivals`: `open:` is not a
+        // workload.
+        let err = cmd_run(&flags(&["--workload", "open:poisson:4/fib:8"])).unwrap_err();
         assert_eq!((err.kind, err.code), ("config", 3));
         // Windows without any arrival process are meaningless.
         let err = cmd_run(&flags(&["--duration", "500"])).unwrap_err();

@@ -1,6 +1,6 @@
-//! `oracle-cli experiment` through the built binary: it prints exactly the
-//! experiment registry's rendering, and a reader that closes the pipe
-//! early (`| head`) is a quiet success, not a panic.
+//! `oracle-cli` through the built binary: `experiment` prints exactly the
+//! experiment registry's rendering, and for every subcommand a reader that
+//! closes the pipe early (`| head`) is a quiet success, not a panic.
 
 use std::process::{Command, Stdio};
 
@@ -31,16 +31,52 @@ fn experiment_prints_the_registry_rendering() {
 
 #[test]
 fn closed_stdout_exits_0_quietly() {
-    let mut child = oracle_cli()
-        .args(["experiment", "table3", "--quick"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("oracle-cli starts");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("oracle-cli finishes");
-    assert_eq!(out.status.code(), Some(0));
-    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+    let dir = std::env::temp_dir().join(format!("oracle-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let suite = dir.join("suite.txt");
+    std::fs::write(&suite, "grid:4 cwn:4x1 fib:8\n").expect("suite file");
+    let trace = dir.join("trace.jsonl");
+    let status = oracle_cli()
+        .args([
+            "run",
+            "--topology",
+            "grid:4",
+            "--workload",
+            "fib:8",
+            "--trace-out",
+        ])
+        .arg(&trace)
+        .stdout(Stdio::null())
+        .status()
+        .expect("oracle-cli runs");
+    assert!(status.success());
+    let (suite, trace) = (suite.to_str().unwrap(), trace.to_str().unwrap());
+    // `topo-info grid:64 --dot` prints ~140 KB, more than a pipe buffer
+    // holds, so it meets the closed pipe even if it starts writing first.
+    let commands: [&[&str]; 8] = [
+        &["experiment", "table3", "--quick"],
+        &["topo-info", "grid:64", "--dot"],
+        &["list"],
+        &["run", "--topology", "grid:4", "--workload", "fib:8"],
+        &["compare", "--topology", "grid:4", "--workload", "fib:8"],
+        &["batch", suite],
+        &["chaos", "--cases", "2", "--threads", "1"],
+        &["trace-check", trace],
+    ];
+    for args in commands {
+        let mut child = oracle_cli()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("oracle-cli starts");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("oracle-cli finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert_eq!(stderr, "", "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

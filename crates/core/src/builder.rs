@@ -68,8 +68,7 @@ impl RunConfig {
         }
         // Under a fault plan the goal count legitimately diverges (lost
         // goals, re-spawned subtrees) — only the result check applies.
-        let faults_planned = !self.machine.fault_plan.is_empty() || self.machine.fail_pe.is_some();
-        if !faults_planned {
+        if self.machine.fault_plan.is_empty() {
             if let Some(goals) = self.workload.build().expected_goals() {
                 if report.goals_created != goals {
                     return Err(SimError::InvalidConfig(format!(
@@ -206,13 +205,6 @@ impl SimulationBuilder {
     /// this off for runs whose reports are compared bit-for-bit.
     pub fn profile(mut self, enabled: bool) -> Self {
         self.config.machine.profile = enabled;
-        self
-    }
-
-    /// Select instantaneous (oracle) neighbour-load information instead of
-    /// the paper's piggy-backed/periodic load words.
-    pub fn instant_load_info(mut self) -> Self {
-        self.config.machine.load_info = LoadInfoMode::Instant;
         self
     }
 

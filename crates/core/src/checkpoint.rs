@@ -27,7 +27,9 @@ use std::path::{Path, PathBuf};
 use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
 use oracle_model::config::{LoadInfoMode, QueueDiscipline};
 use oracle_model::StateMode;
-use oracle_model::{CostModel, Machine, MachineConfig, QueueBackend, Report, SimError};
+use oracle_model::{
+    CostModel, Machine, MachineConfig, OpenTraffic, QueueBackend, Report, SimError,
+};
 
 use crate::builder::RunConfig;
 
@@ -48,7 +50,11 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v5 added the memory-model knobs (`state_mode`, `per_pe_metrics`)
 /// alongside the v5 machine snapshot: the restored machine must pick the
 /// same dense/sparse representation and the same report shape.
-pub const CHECKPOINT_VERSION: u32 = 5;
+///
+/// v6 dropped the interpretive knobs that only ever held one value (the
+/// root PE, whether responses count as load, optimistic accounting) and
+/// the single-crash shorthand, which a `crash:PE@T` fault-plan term spells.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -100,105 +106,144 @@ impl From<SnapError> for CheckpointError {
 // ---------------------------------------------------------------------
 
 fn put_config(w: &mut SnapWriter, config: &RunConfig) {
-    w.str(&config.topology.to_string());
-    w.str(&config.strategy.to_string());
-    w.str(&config.workload.to_string());
+    // Every struct below is destructured without `..`, so a field added
+    // later fails to compile here until the codec decides what to do
+    // with it.
+    let RunConfig {
+        topology,
+        strategy,
+        workload,
+        costs,
+        machine,
+    } = config;
+    w.str(&topology.to_string());
+    w.str(&strategy.to_string());
+    w.str(&workload.to_string());
 
-    let c = &config.costs;
-    w.u64(c.split_cost);
-    w.u64(c.leaf_cost);
-    w.u64(c.combine_cost);
-    w.u64(c.goal_hop_cost);
-    w.u64(c.response_hop_cost);
-    w.u64(c.control_hop_cost);
-    w.u64(c.software_routing_cost);
+    let CostModel {
+        split_cost,
+        leaf_cost,
+        combine_cost,
+        goal_hop_cost,
+        response_hop_cost,
+        control_hop_cost,
+        software_routing_cost,
+    } = *costs;
+    w.u64(split_cost);
+    w.u64(leaf_cost);
+    w.u64(combine_cost);
+    w.u64(goal_hop_cost);
+    w.u64(response_hop_cost);
+    w.u64(control_hop_cost);
+    w.u64(software_routing_cost);
 
-    let m = &config.machine;
-    w.u64(m.seed);
-    w.u32(m.root_pe);
-    w.u64(m.sampling_interval);
-    match m.load_info {
+    let MachineConfig {
+        seed,
+        sampling_interval,
+        load_info,
+        future_commitment_weight,
+        coprocessor,
+        per_pe_series,
+        max_events,
+        progress_window,
+        trace_capacity,
+        // Observability knobs: the trace ring mode and the profiler are not
+        // part of a snapshot (a resumed run's trace/profile start at the
+        // resume point), so checkpoints don't persist them.
+        trace_mode: _,
+        profile: _,
+        queue_discipline,
+        queue_backend,
+        fault_plan,
+        audit_every,
+        open,
+        state_mode,
+        per_pe_metrics,
+        pe_speed_spread,
+    } = machine;
+    w.u64(*seed);
+    w.u64(*sampling_interval);
+    match load_info {
         LoadInfoMode::Piggyback { period } => {
             w.u8(0);
-            w.u64(period);
+            w.u64(*period);
         }
         LoadInfoMode::Instant => w.u8(1),
     }
-    w.bool(m.count_responses_in_load);
-    w.u32(m.future_commitment_weight);
-    w.bool(m.optimistic_accounting);
-    w.bool(m.coprocessor);
-    w.bool(m.per_pe_series);
-    w.u8(match m.state_mode {
+    w.u32(*future_commitment_weight);
+    w.bool(*coprocessor);
+    w.bool(*per_pe_series);
+    w.u8(match state_mode {
         StateMode::Auto => 0,
         StateMode::Dense => 1,
         StateMode::Sparse => 2,
     });
-    w.bool(m.per_pe_metrics);
-    w.u64(m.max_events);
-    w.u64(m.progress_window);
-    w.usize(m.trace_capacity);
-    w.u8(match m.queue_discipline {
+    w.bool(*per_pe_metrics);
+    w.u64(*max_events);
+    w.u64(*progress_window);
+    w.usize(*trace_capacity);
+    w.u8(match queue_discipline {
         QueueDiscipline::Fifo => 0,
         QueueDiscipline::Lifo => 1,
         QueueDiscipline::DeepestFirst => 2,
     });
-    w.u8(match m.queue_backend {
+    w.u8(match queue_backend {
         QueueBackend::Heap => 0,
         QueueBackend::Calendar => 1,
     });
-    match m.fail_pe {
-        Some((pe, at)) => {
+    w.str(&fault_plan.to_string());
+    w.u64(*audit_every);
+    match open {
+        Some(OpenTraffic {
+            arrivals,
+            duration,
+            warmup,
+            saturation_inflight,
+            deadline,
+            retry,
+            admission,
+            breaker,
+        }) => {
             w.bool(true);
-            w.u32(pe);
-            w.u64(at);
-        }
-        None => w.bool(false),
-    }
-    w.str(&m.fault_plan.to_string());
-    w.u64(m.audit_every);
-    match &m.open {
-        Some(open) => {
-            w.bool(true);
-            w.str(&open.arrivals.to_string());
-            w.u64(open.duration);
-            w.u64(open.warmup);
-            w.u64(open.saturation_inflight);
-            match open.deadline {
+            w.str(&arrivals.to_string());
+            w.u64(*duration);
+            w.u64(*warmup);
+            w.u64(*saturation_inflight);
+            match deadline {
                 Some(d) => {
                     w.bool(true);
-                    w.u64(d);
+                    w.u64(*d);
                 }
                 None => w.bool(false),
             }
             // Retry and admission policies travel in their compact string
             // grammars (the same round-trippable Display/FromStr pairs the
             // CLI flags use).
-            match &open.retry {
+            match retry {
                 Some(p) => {
                     w.bool(true);
                     w.str(&p.to_string());
                 }
                 None => w.bool(false),
             }
-            match &open.admission {
+            match admission {
                 Some(p) => {
                     w.bool(true);
                     w.str(&p.to_string());
                 }
                 None => w.bool(false),
             }
-            match open.breaker {
+            match breaker {
                 Some(c) => {
                     w.bool(true);
-                    w.u64(c);
+                    w.u64(*c);
                 }
                 None => w.bool(false),
             }
         }
         None => w.bool(false),
     }
-    w.u64(m.pe_speed_spread);
+    w.u64(*pe_speed_spread);
 }
 
 fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
@@ -235,7 +280,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
     };
 
     let seed = r.u64()?;
-    let root_pe = r.u32()?;
     let sampling_interval = r.u64()?;
     let load_info = match r.u8()? {
         0 => LoadInfoMode::Piggyback { period: r.u64()? },
@@ -246,9 +290,7 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             )))
         }
     };
-    let count_responses_in_load = r.bool()?;
     let future_commitment_weight = r.u32()?;
-    let optimistic_accounting = r.bool()?;
     let coprocessor = r.bool()?;
     let per_pe_series = r.bool()?;
     let state_mode = match r.u8()? {
@@ -283,11 +325,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
                 "unknown queue-backend tag {t}"
             )))
         }
-    };
-    let fail_pe = if r.bool()? {
-        Some((r.u32()?, r.u64()?))
-    } else {
-        None
     };
     let fault_plan = r.str()?;
     let fault_plan =
@@ -326,7 +363,7 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             None
         };
         let breaker = if r.bool()? { Some(r.u64()?) } else { None };
-        Some(oracle_model::OpenTraffic {
+        Some(OpenTraffic {
             arrivals,
             duration,
             warmup,
@@ -348,12 +385,9 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
         costs,
         machine: MachineConfig {
             seed,
-            root_pe,
             sampling_interval,
             load_info,
-            count_responses_in_load,
             future_commitment_weight,
-            optimistic_accounting,
             coprocessor,
             per_pe_series,
             state_mode,
@@ -361,14 +395,11 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             max_events,
             progress_window,
             trace_capacity,
-            // Observability knobs: the trace ring mode and the profiler are
-            // not part of a snapshot (a resumed run's trace/profile start at
-            // the resume point), so checkpoints don't persist them.
+            // Not persisted; see `put_config`.
             trace_mode: oracle_model::TraceMode::default(),
             profile: false,
             queue_discipline,
             queue_backend,
-            fail_pe,
             fault_plan,
             audit_every,
             open,
@@ -548,21 +579,56 @@ mod tests {
 
     #[test]
     fn config_codec_round_trips() {
-        let mut config = sample_config();
-        config.machine.fault_plan = "crash:3@900+loss:2%+recover:400x5".parse().unwrap();
-        config.machine.audit_every = 64;
-        config.machine.load_info = LoadInfoMode::Instant;
-        config.machine.queue_backend = QueueBackend::Heap;
-        config.machine.fail_pe = Some((2, 1234));
-        config.machine.open = Some(oracle_model::OpenTraffic {
-            warmup: 500,
-            saturation_inflight: 77,
-            deadline: Some(1500),
-            retry: Some("3x200".parse().unwrap()),
-            admission: Some("bucket:12x5".parse().unwrap()),
-            breaker: Some(800),
-            ..oracle_model::OpenTraffic::new("burst:8x0.5x2000x6000@3,7".parse().unwrap(), 9000)
-        });
+        // Every persisted field differs from its default (and the literals
+        // name every field), so a field the codec drops cannot round-trip
+        // by accident.
+        let config = RunConfig {
+            topology: TopologySpec::grid(4),
+            strategy: StrategySpec::Cwn {
+                radius: 4,
+                horizon: 2,
+            },
+            workload: WorkloadSpec::fib(12),
+            costs: CostModel {
+                split_cost: 21,
+                leaf_cost: 16,
+                combine_cost: 6,
+                goal_hop_cost: 9,
+                response_hop_cost: 8,
+                control_hop_cost: 3,
+                software_routing_cost: 11,
+            },
+            machine: MachineConfig {
+                seed: 41,
+                sampling_interval: 70,
+                load_info: LoadInfoMode::Piggyback { period: 7 },
+                future_commitment_weight: 2,
+                coprocessor: false,
+                per_pe_series: true,
+                max_events: 123_456,
+                progress_window: 5_000,
+                trace_capacity: 99,
+                trace_mode: oracle_model::TraceMode::default(),
+                profile: false,
+                queue_discipline: QueueDiscipline::DeepestFirst,
+                queue_backend: QueueBackend::Heap,
+                fault_plan: "crash:3@900+loss:2%+recover:400x5".parse().unwrap(),
+                audit_every: 64,
+                open: Some(OpenTraffic {
+                    arrivals: "burst:8x0.5x2000x6000@3,7".parse().unwrap(),
+                    duration: 9000,
+                    warmup: 500,
+                    saturation_inflight: 77,
+                    deadline: Some(1500),
+                    retry: Some("3x200".parse().unwrap()),
+                    admission: Some("bucket:12x5".parse().unwrap()),
+                    breaker: Some(800),
+                }),
+                state_mode: StateMode::Sparse,
+                per_pe_metrics: true,
+                pe_speed_spread: 3,
+            },
+        };
         let mut w = SnapWriter::new();
         put_config(&mut w, &config);
         let bytes = w.into_bytes();
@@ -570,6 +636,19 @@ mod tests {
         let decoded = get_config(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded, config);
+    }
+
+    #[test]
+    fn refuses_the_v5_layout() {
+        let mut w = SnapWriter::new();
+        w.u32(CHECKPOINT_MAGIC);
+        w.u32(5);
+        let err = Checkpoint::from_bytes(&w.into_bytes()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Format(ref m)
+                if m.contains("version 5 is not supported")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -80,5 +80,5 @@ pub mod prelude {
     };
     pub use oracle_strategies::StrategySpec;
     pub use oracle_topo::TopologySpec;
-    pub use oracle_workloads::{AnyWorkload, OpenWorkload, WorkloadSpec};
+    pub use oracle_workloads::WorkloadSpec;
 }

@@ -212,8 +212,64 @@ pub fn seed_sweep(config: RunConfig, base_seed: u64, n_seeds: u64) -> SeedSummar
     }
 }
 
-/// Duration of a suite-line open run when `duration=` is not given.
+/// Duration of an open run when `duration` is not given.
 pub const DEFAULT_OPEN_DURATION: u64 = 20_000;
+
+/// The open-traffic fields, as a suite line spells them without the `=`
+/// and `oracle-cli run` spells them without the leading `--`. Every field
+/// after `arrivals` applies only to an open run.
+const OPEN_TRAFFIC_FIELDS: [&str; 7] = [
+    "arrivals",
+    "duration",
+    "warmup",
+    "deadline",
+    "retry",
+    "admission",
+    "breaker",
+];
+
+/// Build the open-traffic configuration from its fields — the one parser
+/// behind both `oracle-cli run`'s flags and a suite line's `key=` fields.
+/// `value(field)` gives the raw text of a field, if present; `spell(field)`
+/// names it the way the front end does (`--deadline`, `deadline=`), for
+/// error messages.
+///
+/// No `arrivals` means a closed run (`Ok(None)`), and then any other open
+/// field is an error. `duration` defaults to [`DEFAULT_OPEN_DURATION`] and
+/// `warmup` to one tenth of the duration.
+pub fn parse_open_traffic<'a>(
+    value: impl Fn(&str) -> Option<&'a str>,
+    spell: impl Fn(&str) -> String,
+) -> Result<Option<oracle_model::OpenTraffic>, String> {
+    /// Parse a present field's `(text, spelling)`.
+    fn parse<T: std::str::FromStr>(raw: Option<(&str, String)>) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        raw.map(|(v, name)| v.parse().map_err(|e| format!("bad {name} {v:?}: {e}")))
+            .transpose()
+    }
+    let raw = |field: &str| value(field).map(|v| (v, spell(field)));
+
+    let Some(arrivals) = parse::<oracle_model::ArrivalSpec>(raw("arrivals"))? else {
+        return match OPEN_TRAFFIC_FIELDS[1..].iter().find(|f| value(f).is_some()) {
+            Some(f) => Err(format!(
+                "{} applies only to open runs, which require {}",
+                spell(f),
+                spell("arrivals")
+            )),
+            None => Ok(None),
+        };
+    };
+    let duration = parse(raw("duration"))?.unwrap_or(DEFAULT_OPEN_DURATION);
+    let mut open = oracle_model::OpenTraffic::new(arrivals, duration);
+    open.warmup = parse(raw("warmup"))?.unwrap_or(open.warmup);
+    open.deadline = parse(raw("deadline"))?;
+    open.retry = parse(raw("retry"))?;
+    open.admission = parse(raw("admission"))?;
+    open.breaker = parse(raw("breaker"))?;
+    Ok(Some(open))
+}
 
 /// Parse a batch-suite description into run specs.
 ///
@@ -231,13 +287,9 @@ pub const DEFAULT_OPEN_DURATION: u64 = 20_000;
 /// ```
 ///
 /// `arrivals=` switches the line to the open-traffic regime (see
-/// [`oracle_model::open`]); `duration=`/`warmup=` set its measurement
-/// windows (defaults: 20000 and one tenth of the duration). The
-/// overload-protection knobs — `deadline=` (per-request deadline),
-/// `retry=` (cap × base backoff), `admission=`
-/// (`queue:MAX`/`util:FRACTION`/`bucket:RATExBURST`), and `breaker=`
-/// (circuit-breaker cooldown) — also require `arrivals=` on the same
-/// line.
+/// [`oracle_model::open`]); the other open-traffic fields require it and
+/// are read by [`parse_open_traffic`], the same parser `oracle-cli run`'s
+/// flags go through. Each key may appear once per line.
 ///
 /// Labels are generated from the three specs. Errors name the offending
 /// line.
@@ -279,64 +331,12 @@ pub fn parse_suite(text: &str) -> Result<Vec<RunSpec>, String> {
             .workload(workload)
             .config();
         let mut label_suffix = String::new();
-        let mut arrivals: Option<oracle_model::ArrivalSpec> = None;
-        let mut duration: Option<u64> = None;
-        let mut warmup: Option<u64> = None;
-        let mut deadline: Option<u64> = None;
-        let mut retry: Option<oracle_model::RetryPolicy> = None;
-        let mut admission: Option<oracle_model::AdmissionPolicy> = None;
-        let mut breaker: Option<u64> = None;
+        let mut values: Vec<(&str, &str)> = Vec::new();
         for extra in &fields[3..] {
-            if let Some(v) = extra.strip_prefix("seed=") {
-                config.machine.seed = v
-                    .parse()
-                    .map_err(|_| err("seed", format!("{extra:?} (expected seed=N)")))?;
-            } else if let Some(v) = extra.strip_prefix("faults=") {
-                config.machine.fault_plan =
-                    v.parse()
-                        .map_err(|e: oracle_model::faults::ParseFaultPlanError| {
-                            err("faults", format!("{v:?}: {e}"))
-                        })?;
-                label_suffix.push_str(&format!(" faults={v}"));
-            } else if let Some(v) = extra.strip_prefix("arrivals=") {
-                arrivals = Some(v.parse().map_err(|e: oracle_model::ParseArrivalError| {
-                    err("arrivals", e.to_string())
-                })?);
-                label_suffix.push_str(&format!(" arrivals={v}"));
-            } else if let Some(v) = extra.strip_prefix("duration=") {
-                duration =
-                    Some(v.parse().map_err(|_| {
-                        err("duration", format!("{extra:?} (expected duration=T)"))
-                    })?);
-            } else if let Some(v) = extra.strip_prefix("warmup=") {
-                warmup = Some(
-                    v.parse()
-                        .map_err(|_| err("warmup", format!("{extra:?} (expected warmup=T)")))?,
-                );
-            } else if let Some(v) = extra.strip_prefix("deadline=") {
-                deadline =
-                    Some(v.parse().map_err(|_| {
-                        err("deadline", format!("{extra:?} (expected deadline=T)"))
-                    })?);
-                label_suffix.push_str(&format!(" deadline={v}"));
-            } else if let Some(v) = extra.strip_prefix("retry=") {
-                retry =
-                    Some(v.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                        err("retry", e.to_string())
-                    })?);
-                label_suffix.push_str(&format!(" retry={v}"));
-            } else if let Some(v) = extra.strip_prefix("admission=") {
-                admission = Some(v.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                    err("admission", e.to_string())
-                })?);
-                label_suffix.push_str(&format!(" admission={v}"));
-            } else if let Some(v) = extra.strip_prefix("breaker=") {
-                breaker = Some(
-                    v.parse()
-                        .map_err(|_| err("breaker", format!("{extra:?} (expected breaker=T)")))?,
-                );
-                label_suffix.push_str(&format!(" breaker={v}"));
-            } else {
+            let known = extra.split_once('=').filter(|(key, _)| {
+                ["seed", "faults"].contains(key) || OPEN_TRAFFIC_FIELDS.contains(key)
+            });
+            let Some((key, v)) = known else {
                 return Err(err(
                     "field",
                     format!(
@@ -344,37 +344,32 @@ pub fn parse_suite(text: &str) -> Result<Vec<RunSpec>, String> {
                          warmup=T, deadline=T, retry=MAXxBASE, admission=POLICY, or breaker=T)"
                     ),
                 ));
+            };
+            if values.iter().any(|&(k, _)| k == key) {
+                return Err(err("field", format!("{key}= given more than once")));
+            }
+            values.push((key, v));
+            // The label echoes every field but the seed and the
+            // measurement windows.
+            if !["seed", "duration", "warmup"].contains(&key) {
+                label_suffix.push_str(&format!(" {extra}"));
             }
         }
-        match arrivals {
-            Some(spec) => {
-                let mut open =
-                    oracle_model::OpenTraffic::new(spec, duration.unwrap_or(DEFAULT_OPEN_DURATION));
-                if let Some(w) = warmup {
-                    open.warmup = w;
-                }
-                open.deadline = deadline;
-                open.retry = retry;
-                open.admission = admission;
-                open.breaker = breaker;
-                config.machine.open = Some(open);
-            }
-            None if duration.is_some()
-                || warmup.is_some()
-                || deadline.is_some()
-                || retry.is_some()
-                || admission.is_some()
-                || breaker.is_some() =>
-            {
-                return Err(err(
-                    "field",
-                    "duration=/warmup=/deadline=/retry=/admission=/breaker= require \
-                     arrivals=SPEC on the same line"
-                        .into(),
-                ));
-            }
-            None => {}
+        let value = |key: &str| values.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+        if let Some(v) = value("seed") {
+            config.machine.seed = v
+                .parse()
+                .map_err(|_| err("seed", format!("\"seed={v}\" (expected seed=N)")))?;
         }
+        if let Some(v) = value("faults") {
+            config.machine.fault_plan =
+                v.parse()
+                    .map_err(|e: oracle_model::faults::ParseFaultPlanError| {
+                        err("faults", format!("{v:?}: {e}"))
+                    })?;
+        }
+        config.machine.open = parse_open_traffic(value, |key| format!("{key}="))
+            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         specs.push(RunSpec::new(
             format!("{} {} {}{label_suffix}", fields[0], fields[1], fields[2]),
             config,
@@ -574,6 +569,18 @@ mod tests {
         assert!(err.contains("require arrivals"), "{err}");
         let err = parse_suite("grid:4 cwn:4x1 fib:8 arrivals=poisson:3 duration=zz\n").unwrap_err();
         assert!(err.contains("bad duration"), "{err}");
+    }
+
+    #[test]
+    fn parse_suite_rejects_repeated_keys() {
+        for line in [
+            "grid:4 cwn:4x1 fib:8 seed=1 seed=2\n",
+            "grid:4 cwn:4x1 fib:8 arrivals=poisson:3 deadline=5 deadline=9\n",
+        ] {
+            let err = parse_suite(line).unwrap_err();
+            assert!(err.starts_with("line 1: "), "{err}");
+            assert!(err.contains("given more than once"), "{err}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct QueueSnapshot<E> {
 /// ```
 #[derive(Clone)]
 pub enum DualQueue<E> {
-    /// Binary-heap event list ([`EventQueue`]) — the default.
+    /// Binary-heap event list ([`EventQueue`]).
     Heap(EventQueue<E>),
     /// Calendar-queue event list ([`CalendarQueue`], Brown 1988).
     Calendar(CalendarQueue<E>),

@@ -15,9 +15,10 @@
 //! Everything here is deterministic: events that are scheduled for the same
 //! instant fire in the order they were scheduled, and all randomness flows
 //! from an explicitly seeded [`Rng`]. Two interchangeable event lists are
-//! provided — the binary-heap [`EventQueue`] (the default) and the
-//! bucket-based [`CalendarQueue`] (Brown 1988) — with identical ordering
-//! semantics.
+//! provided — the binary-heap [`EventQueue`] and the bucket-based
+//! [`CalendarQueue`] (Brown 1988) — with identical ordering semantics. The
+//! machine model's `QueueBackend` picks one; its default is the calendar
+//! queue.
 
 pub mod backend;
 pub mod calendar;

@@ -77,12 +77,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)` using Lemire's unbiased method.
     ///
     /// # Panics

@@ -15,7 +15,7 @@ use oracle_topo::{ChannelId, PeId, Topology};
 use crate::config::{LoadInfoMode, MachineConfig, QueueBackend};
 use crate::cost::CostModel;
 use crate::error::SimError;
-use crate::faults::{FaultPlan, PeCrash};
+use crate::faults::FaultPlan;
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::metrics::{FaultMetrics, OpenMetrics, OpenOutcome, Report, TopPe, TrafficCounters};
 use crate::open::{AdmissionPolicy, Inflight, OpenState};
@@ -158,6 +158,10 @@ impl FaultState {
 /// overrides it per run.
 pub(crate) const PROGRESS_WINDOW: u64 = 1_000_000;
 
+/// PE on which a closed run's root goal is injected at time zero (and
+/// where open traffic's `@root` arrivals enter).
+pub(crate) const ROOT_PE: PeId = PeId(0);
+
 /// Largest PE count for which the flat O(n²) neighbour-position table is
 /// built (64 MiB of `u16` at the limit). Larger machines binary-search the
 /// sorted neighbour list instead — an O(log degree) lookup that costs no
@@ -235,8 +239,7 @@ pub struct Core {
     /// trace, deliberately not part of a snapshot: a resumed run's profile
     /// covers the segment since the restore.
     pub(crate) profiler: Option<Box<Profiler>>,
-    /// The effective fault plan (`config.fault_plan` with the legacy
-    /// `fail_pe` shorthand folded in).
+    /// The fault plan (`config.fault_plan`, moved out of the config).
     pub(crate) plan: FaultPlan,
     /// Dedicated RNG stream for fault decisions (message-loss draws), so a
     /// fault plan never perturbs the strategy's random stream.
@@ -372,8 +375,7 @@ impl Core {
     #[inline]
     pub fn load(&self, pe: PeId) -> u32 {
         let p = &self.pes[pe.idx()];
-        p.load(self.config.count_responses_in_load)
-            + self.config.future_commitment_weight * p.waiting_tasks()
+        p.load() + self.config.future_commitment_weight * p.waiting_tasks()
     }
 
     /// Number of tasks pinned on `pe` awaiting responses — the "future
@@ -577,8 +579,7 @@ impl Core {
             let load = match config.load_info {
                 LoadInfoMode::Instant => {
                     let p = &pes[n.pe.idx()];
-                    p.load(config.count_responses_in_load)
-                        + config.future_commitment_weight * p.waiting_tasks()
+                    p.load() + config.future_commitment_weight * p.waiting_tasks()
                 }
                 LoadInfoMode::Piggyback { .. } => pes[pe.idx()].known_load[i],
             };
@@ -688,11 +689,12 @@ impl Core {
                 hops: goal.hops,
             });
         }
-        if self.config.optimistic_accounting {
-            if let Some(idx) = self.neighbor_index(from, to) {
-                self.pes[from.idx()].known_load[idx] =
-                    self.pes[from.idx()].known_load[idx].saturating_add(1);
-            }
+        // Optimistic accounting: bump the sender's view of the receiver's
+        // load, so consecutive subgoals created between load updates do not
+        // all chase the same "least loaded" neighbour.
+        if let Some(idx) = self.neighbor_index(from, to) {
+            self.pes[from.idx()].known_load[idx] =
+                self.pes[from.idx()].known_load[idx].saturating_add(1);
         }
         if self.plan.recovery.is_some() {
             // In flight again: a crash of the old host must not re-spawn it.
@@ -956,7 +958,7 @@ impl Core {
         let id = GoalId(((creator as u64) << 32) | seq as u64);
         self.goals_created += 1;
         if self.trace.enabled() {
-            let pe = parent.map_or(PeId(self.config.root_pe), |(pe, _)| pe);
+            let pe = parent.map_or(ROOT_PE, |(pe, _)| pe);
             self.trace.record(TraceEvent::GoalCreated {
                 t: self.events.now().units(),
                 goal: id,
@@ -1224,13 +1226,6 @@ impl Machine {
             .fault_plan
             .validate(topo.num_pes(), topo.num_channels())
             .map_err(SimError::InvalidConfig)?;
-        if (config.root_pe as usize) >= topo.num_pes() {
-            return Err(SimError::InvalidConfig(format!(
-                "root PE {} out of range (topology has {} PEs)",
-                config.root_pe,
-                topo.num_pes()
-            )));
-        }
         let sampling = config.sampling_interval;
         let sparse = config.sparse_state(topo.num_pes());
         let mut rng = Rng::seed_from_u64(config.seed);
@@ -1285,16 +1280,9 @@ impl Machine {
                 }
             }
         }
-        // Fold the legacy `fail_pe` shorthand into the effective plan
-        // (leniently: an out-of-range PE is ignored, as it always was).
-        // Taking it out of the config avoids cloning the plan's vectors;
-        // the effective plan in `Core::plan` is the single source of truth.
-        let mut plan = std::mem::take(&mut config.fault_plan);
-        if let Some((pe, at)) = config.fail_pe {
-            if (pe as usize) < topo.num_pes() {
-                plan.pe_crashes.push(PeCrash { pe, at });
-            }
-        }
+        // Taking the plan out of the config avoids cloning its vectors;
+        // the plan in `Core::plan` is the single source of truth.
+        let plan = std::mem::take(&mut config.fault_plan);
         // Fault decisions draw from their own stream so that an empty plan
         // leaves the strategy's randomness bit-identical to a run without
         // fault support at all.
@@ -1303,7 +1291,7 @@ impl Machine {
         // front, so a bad spec fails here rather than mid-run.
         let open = match &config.open {
             Some(o) => Some(Box::new(
-                OpenState::build(o, config.seed, topo.num_pes(), config.root_pe)
+                OpenState::build(o, config.seed, topo.num_pes())
                     .map_err(SimError::InvalidConfig)?,
             )),
             None => None,
@@ -1404,7 +1392,6 @@ impl Machine {
     /// checkpoint, where the snapshot already contains everything `begin`
     /// sets up.
     pub fn begin(&mut self) {
-        let root_pe = PeId(self.core.config.root_pe);
         self.strategy.init(&mut self.core);
 
         // Arm the periodic load broadcasts, staggered by PE id — only for
@@ -1420,7 +1407,6 @@ impl Machine {
         }
 
         // Arm the fault plan: crashes, link windows, slowdown windows.
-        // (The legacy `fail_pe` shorthand was folded in at construction.)
         // Index loops over the `Copy` entries sidestep borrowing the plan
         // while scheduling, without cloning its vectors.
         for i in 0..self.core.plan.pe_crashes.len() {
@@ -1455,7 +1441,7 @@ impl Machine {
         let root_goal = self.core.make_goal(root_spec, None);
         self.core.track_goal(&root_goal, 0, 0);
         self.strategy
-            .on_goal_created(&mut self.core, root_pe, root_goal);
+            .on_goal_created(&mut self.core, ROOT_PE, root_goal);
     }
 
     /// Drive the event loop. With `pause_at: None`, runs until the root
@@ -1955,9 +1941,8 @@ impl Machine {
             None => {
                 // The root goal re-enters at the root PE, or at the lowest
                 // surviving PE if the root died.
-                let root = PeId(self.core.config.root_pe);
-                if !self.core.pes[root.idx()].failed {
-                    root
+                if !self.core.pes[ROOT_PE.idx()].failed {
+                    ROOT_PE
                 } else {
                     let Some(i) = (0..self.core.pes.len()).find(|&i| !self.core.pes[i].failed)
                     else {
@@ -2753,24 +2738,6 @@ mod tests {
         assert_eq!(r.result, 1);
         assert_eq!(r.goals_created, 1);
         assert_eq!(r.completion_time, 1);
-    }
-
-    #[test]
-    fn invalid_root_pe_is_rejected() {
-        let cfg = MachineConfig {
-            root_pe: 99,
-            ..MachineConfig::default()
-        };
-        let err = Machine::new(
-            ring(4),
-            Box::new(Fib(3)),
-            Box::new(KeepLocal),
-            CostModel::unit(),
-            cfg,
-        )
-        .err()
-        .unwrap();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
     /// A strategy that drops goals (violating the conservation contract)

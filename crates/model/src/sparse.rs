@@ -68,11 +68,6 @@ impl ChannelTable {
         self.len() == 0
     }
 
-    /// True in the sparse representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, ChannelTable::Sparse { .. })
-    }
-
     /// Number of channels actually materialized (== `len()` when dense).
     pub fn touched(&self) -> usize {
         match self {

@@ -34,6 +34,9 @@ const TAG_REDIST_REQ: u8 = 4;
 const TAG_REDIST_DENY: u8 = 5;
 /// Timer tag for redistribution retry.
 const TIMER_RETRY: u64 = 3;
+/// Backoff before an idle PE retries a denied redistribution request (one
+/// default load-broadcast period).
+const RETRY_DELAY: u64 = 40;
 
 /// Parameters of Adaptive CWN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,8 +48,6 @@ pub struct AcwnParams {
     pub saturation: u32,
     /// Enable the idle-PE redistribution component.
     pub redistribute: bool,
-    /// Backoff before an idle PE retries a denied redistribution request.
-    pub retry_delay: u64,
 }
 
 impl AcwnParams {
@@ -56,7 +57,6 @@ impl AcwnParams {
             cwn: CwnParams::paper_grid(),
             saturation: 3,
             redistribute: true,
-            retry_delay: 40,
         }
     }
 
@@ -78,15 +78,7 @@ pub struct AdaptiveCwn {
 
 impl AdaptiveCwn {
     /// Adaptive CWN with the given parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retry_delay == 0` while redistribution is enabled.
     pub fn new(params: AcwnParams) -> Self {
-        assert!(
-            !params.redistribute || params.retry_delay > 0,
-            "retry_delay must be positive when redistribution is enabled"
-        );
         AdaptiveCwn {
             params,
             outstanding: Vec::new(),
@@ -106,11 +98,11 @@ impl AdaptiveCwn {
         }
         // Nobody reachable is known to have queued work: try again later.
         let Some((victim, known)) = core.most_loaded_neighbor(pe) else {
-            core.set_timer(pe, self.params.retry_delay, TIMER_RETRY);
+            core.set_timer(pe, RETRY_DELAY, TIMER_RETRY);
             return;
         };
         if known == 0 {
-            core.set_timer(pe, self.params.retry_delay, TIMER_RETRY);
+            core.set_timer(pe, RETRY_DELAY, TIMER_RETRY);
             return;
         }
         self.outstanding[pe.idx()] = true;
@@ -191,7 +183,7 @@ impl Strategy for AdaptiveCwn {
             TAG_REDIST_DENY => {
                 self.outstanding[pe.idx()] = false;
                 if core.load(pe) == 0 {
-                    core.set_timer(pe, self.params.retry_delay, TIMER_RETRY);
+                    core.set_timer(pe, RETRY_DELAY, TIMER_RETRY);
                 }
             }
             _ => {}
@@ -271,7 +263,6 @@ mod tests {
                 cwn: CwnParams {
                     radius: 6,
                     horizon: 2,
-                    strict_min: true,
                 },
                 ..AcwnParams::paper_grid()
             })),
@@ -292,11 +283,9 @@ mod tests {
                 cwn: CwnParams {
                     radius: 4,
                     horizon: 1,
-                    strict_min: true,
                 },
                 saturation: 2,
                 redistribute: false,
-                retry_delay: 40,
             })),
             14,
             acwn_config(),
@@ -322,11 +311,9 @@ mod tests {
                 cwn: CwnParams {
                     radius: 4,
                     horizon: 1,
-                    strict_min: true,
                 },
                 saturation: 2,
                 redistribute: false,
-                retry_delay: 40,
             })),
             14,
             acwn_config(),
@@ -352,20 +339,5 @@ mod tests {
         let (a, b) = (mk(), mk());
         assert_eq!(a.completion_time, b.completion_time);
         assert_eq!(a.traffic, b.traffic);
-    }
-
-    #[test]
-    #[should_panic(expected = "retry_delay")]
-    fn zero_retry_with_redistribution_panics() {
-        AdaptiveCwn::new(AcwnParams {
-            cwn: CwnParams {
-                radius: 4,
-                horizon: 1,
-                strict_min: true,
-            },
-            saturation: 0,
-            redistribute: true,
-            retry_delay: 0,
-        });
     }
 }

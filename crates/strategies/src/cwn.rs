@@ -27,12 +27,6 @@ pub struct CwnParams {
     /// Minimum hops before a local-minimum PE may keep the goal ("look over
     /// the horizon").
     pub horizon: u32,
-    /// How "its own load is less than its least loaded neighbors" treats a
-    /// tie. With `true` (the paper's strict reading) a goal on a load
-    /// plateau keeps moving — which produces the paper's Table-3 spike at
-    /// the radius; with `false` a plateau counts as a local minimum and the
-    /// goal stops at the horizon.
-    pub strict_min: bool,
 }
 
 impl CwnParams {
@@ -41,7 +35,6 @@ impl CwnParams {
         CwnParams {
             radius: 9,
             horizon: 1,
-            strict_min: true,
         }
     }
 
@@ -50,7 +43,6 @@ impl CwnParams {
         CwnParams {
             radius: 5,
             horizon: 1,
-            strict_min: true,
         }
     }
 }
@@ -67,13 +59,9 @@ impl Cwn {
         Cwn { params }
     }
 
-    /// Convenience constructor (strict local-minimum test, as in the paper).
+    /// Convenience constructor.
     pub fn with(radius: u32, horizon: u32) -> Self {
-        Cwn::new(CwnParams {
-            radius,
-            horizon,
-            strict_min: true,
-        })
+        Cwn::new(CwnParams { radius, horizon })
     }
 }
 
@@ -108,12 +96,10 @@ impl Strategy for Cwn {
         if goal.hops >= self.params.horizon {
             let own = core.load(pe);
             let min_nbr = core.min_known_neighbor_load(pe);
-            let is_local_min = if self.params.strict_min {
-                own < min_nbr
-            } else {
-                own <= min_nbr
-            };
-            if is_local_min {
+            // "Its own load is less than its least loaded neighbors", read
+            // strictly: a goal on a load plateau keeps moving, which is
+            // what produces the paper's Table-3 spike at the radius.
+            if own < min_nbr {
                 core.accept_goal(pe, goal);
                 return;
             }
@@ -139,7 +125,6 @@ mod tests {
             CwnParams {
                 radius: 9,
                 horizon: 1,
-                strict_min: true,
             }
         );
         assert_eq!(
@@ -147,7 +132,6 @@ mod tests {
             CwnParams {
                 radius: 5,
                 horizon: 1,
-                strict_min: true,
             }
         );
     }

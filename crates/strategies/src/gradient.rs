@@ -18,8 +18,7 @@
 //! Work export is demand-driven, per the paper's own rationale: "the work is
 //! kept locally, and sent out only when the presence of an idle node is
 //! inferred" — an abundant PE only exports when the least neighbour
-//! proximity is at most the diameter (`require_demand`, on by default; turn
-//! off for the literal-unconditional ablation).
+//! proximity is at most the diameter.
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
@@ -44,12 +43,6 @@ pub struct GradientParams {
     pub high_water_mark: u32,
     /// Sleep between gradient-process cycles, in time units.
     pub interval: u64,
-    /// Stagger each PE's first wakeup randomly within one interval (avoids
-    /// artificial lock-step synchrony among the asynchronous processes).
-    pub stagger: bool,
-    /// Export work only when an idle node is inferred (least neighbour
-    /// proximity ≤ diameter). The paper's rationale; disable to ablate.
-    pub require_demand: bool,
 }
 
 impl GradientParams {
@@ -59,8 +52,6 @@ impl GradientParams {
             low_water_mark: 1,
             high_water_mark: 2,
             interval: 20,
-            stagger: true,
-            require_demand: true,
         }
     }
 
@@ -111,8 +102,6 @@ impl GradientModel {
             low_water_mark: lwm,
             high_water_mark: hwm,
             interval,
-            stagger: true,
-            require_demand: true,
         })
     }
 
@@ -158,8 +147,8 @@ impl GradientModel {
                 }
             }
             if let Some((to, prox)) = best {
-                let demand_seen = !self.params.require_demand || prox <= core.diameter();
-                if demand_seen {
+                // Export only when an idle node is inferred.
+                if prox <= core.diameter() {
                     if let Some(goal) = core.take_newest_goal(pe) {
                         core.forward_goal(pe, to, goal);
                     }
@@ -188,12 +177,10 @@ impl Strategy for GradientModel {
                 neighbor_prox: vec![0; core.topology().degree(PeId(i as u32))],
             })
             .collect();
+        // Stagger each PE's first wakeup randomly within one interval: the
+        // gradient processes are asynchronous, not in lock-step.
         for i in 0..n as u32 {
-            let delay = if self.params.stagger {
-                core.rng(PeId(i)).below(self.params.interval)
-            } else {
-                self.params.interval
-            };
+            let delay = core.rng(PeId(i)).below(self.params.interval);
             core.set_timer(PeId(i), delay.max(1), TIMER_CYCLE);
         }
     }
@@ -368,46 +355,6 @@ mod tests {
         let (a, b) = (mk(), mk());
         assert_eq!(a.completion_time, b.completion_time);
         assert_eq!(a.traffic, b.traffic);
-    }
-
-    #[test]
-    fn literal_variant_without_demand_gating_still_completes() {
-        // The ablation of "sent out only when the presence of an idle node
-        // is inferred": abundant PEs export unconditionally.
-        let r = run_fib(
-            mesh2d(4, 4, false),
-            Box::new(GradientModel::new(GradientParams {
-                require_demand: false,
-                stagger: false,
-                ..GradientParams::paper_grid()
-            })),
-            13,
-            MachineConfig::default(),
-        );
-        assert!(r.avg_utilization > 0.05);
-    }
-
-    #[test]
-    fn demand_gating_reduces_exports() {
-        let run = |require_demand| {
-            run_fib(
-                mesh2d(4, 4, false),
-                Box::new(GradientModel::new(GradientParams {
-                    require_demand,
-                    ..GradientParams::paper_grid()
-                })),
-                14,
-                MachineConfig::default(),
-            )
-        };
-        let gated = run(true);
-        let literal = run(false);
-        assert!(
-            literal.traffic.goal_hops >= gated.traffic.goal_hops,
-            "ungated GM should move at least as many goals ({} vs {})",
-            literal.traffic.goal_hops,
-            gated.traffic.goal_hops
-        );
     }
 
     #[test]

@@ -110,14 +110,9 @@ impl StrategySpec {
                 saturation,
                 redistribute,
             } => Box::new(AdaptiveCwn::new(AcwnParams {
-                cwn: CwnParams {
-                    radius,
-                    horizon,
-                    strict_min: true,
-                },
+                cwn: CwnParams { radius, horizon },
                 saturation,
                 redistribute,
-                retry_delay: 40,
             })),
             StrategySpec::Local => Box::new(KeepLocal),
             StrategySpec::RandomWalk { hops } => Box::new(RandomWalk::new(hops)),

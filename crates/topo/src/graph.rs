@@ -11,10 +11,9 @@
 //! `a` toward `b` is always the first neighbour of `a`, in sorted PE-id
 //! order, whose distance to `b` is one less than `a`'s.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::BufRead;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -164,8 +163,11 @@ impl Clone for Router {
 /// hot sinks (the root PE collecting results) amortize to O(1) lookups.
 /// Either path returns the exact distance and the same deterministic
 /// hop, so cache state can never change simulation results.
+///
+/// The cache sits in a `RefCell`: a topology is queried from one thread
+/// at a time (each run owns its machine), so no lock is needed.
 struct LazyRouter {
-    cache: Mutex<RowCache>,
+    cache: RefCell<RowCache>,
 }
 
 #[derive(Default)]
@@ -201,7 +203,7 @@ const WORK_LEDGER_CAP: usize = 8192;
 impl LazyRouter {
     fn new() -> Self {
         LazyRouter {
-            cache: Mutex::new(RowCache::default()),
+            cache: RefCell::new(RowCache::default()),
         }
     }
 
@@ -216,7 +218,7 @@ impl LazyRouter {
     /// its final distance, so the descending-neighbour scan sees exactly
     /// the distances the full row would hold.
     fn query(&self, topo: &Topology, from: PeId, target: PeId, want_hop: bool) -> (u32, PeId) {
-        let mut cache = self.cache.lock().expect("lazy router cache poisoned");
+        let mut cache = self.cache.borrow_mut();
         let cache = &mut *cache;
         if let Some(row) = cache.rows.get(&target.0) {
             return (row[from.idx()], hop_from_row(topo, from, row, want_hop));
@@ -309,9 +311,8 @@ fn hop_from_row(topo: &Topology, from: PeId, row: &[u32], want_hop: bool) -> PeI
 /// routing.
 ///
 /// Built via the constructors in [`crate::mesh`], [`crate::dlm`],
-/// [`crate::hypercube`], [`crate::misc`], generically through
-/// [`Topology::from_channels`], or from an edge-list file through
-/// [`Topology::from_edge_list`].
+/// [`crate::hypercube`], [`crate::misc`], or generically through
+/// [`Topology::from_channels`].
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
@@ -336,30 +337,19 @@ impl Topology {
     /// Panics if `num_pes == 0`, a channel has fewer than two distinct
     /// members or an out-of-range member, or the resulting graph is not
     /// connected — all of those are construction bugs, not runtime
-    /// conditions. (The fallible twin used by file loaders is
-    /// [`Topology::try_from_channels`].)
+    /// conditions.
     pub fn from_channels(
         name: impl Into<String>,
         num_pes: usize,
         channels: Vec<Vec<PeId>>,
     ) -> Self {
-        match Self::try_from_channels(name, num_pes, channels) {
-            Ok(t) => t,
+        match Self::build_structure(name.into(), num_pes, channels) {
+            Ok(mut t) => {
+                t.attach_generic_router();
+                t
+            }
             Err(SpecError(msg)) => panic!("{msg}"),
         }
-    }
-
-    /// Fallible [`Topology::from_channels`]: returns a grammar-citing
-    /// [`SpecError`] instead of panicking, for loader-driven construction.
-    pub fn try_from_channels(
-        name: impl Into<String>,
-        num_pes: usize,
-        channels: Vec<Vec<PeId>>,
-    ) -> Result<Self, SpecError> {
-        let name = name.into();
-        let mut t = Self::build_structure(name, num_pes, channels)?;
-        t.attach_generic_router();
-        Ok(t)
     }
 
     /// Build CSR structure and validate membership; the router is attached
@@ -830,128 +820,6 @@ impl Topology {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Edge-list loading and random graphs.
-    // ------------------------------------------------------------------
-
-    /// Load a topology from a streaming edge-list reader.
-    ///
-    /// Grammar (one declaration per line; `#` starts a comment):
-    ///
-    /// ```text
-    /// pes <N>        # exactly one header line, before any edge
-    /// <U> <V>        # one undirected link per line, 0 <= U,V < N
-    /// ```
-    ///
-    /// Self-loops (`U == V`) and duplicate edges (in either orientation)
-    /// are rejected loudly, as are ids that do not fit a `u32`. The graph
-    /// must be connected.
-    pub fn from_edge_list(
-        name: impl Into<String>,
-        reader: impl BufRead,
-    ) -> Result<Self, SpecError> {
-        const GRAMMAR: &str =
-            "grammar: 'pes N' header, then one 'U V' edge per line with U != V, no duplicates";
-        let name = name.into();
-        let mut num_pes: Option<usize> = None;
-        let mut edges: Vec<Vec<PeId>> = Vec::new();
-        let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        for (lineno, line) in reader.lines().enumerate() {
-            let lineno = lineno + 1;
-            let line = line.map_err(|e| SpecError(format!("edge list line {lineno}: {e}")))?;
-            let body = line.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
-            let mut tokens = body.split_whitespace();
-            let (a, b) = (tokens.next(), tokens.next());
-            if tokens.next().is_some() {
-                return Err(SpecError(format!(
-                    "edge list line {lineno}: too many fields in {body:?} ({GRAMMAR})"
-                )));
-            }
-            match (a, b) {
-                (Some("pes"), Some(count)) => {
-                    if num_pes.is_some() {
-                        return Err(SpecError(format!(
-                            "edge list line {lineno}: duplicate 'pes' header ({GRAMMAR})"
-                        )));
-                    }
-                    let n: u64 = count.parse().map_err(|_| {
-                        SpecError(format!(
-                            "edge list line {lineno}: bad PE count {count:?} ({GRAMMAR})"
-                        ))
-                    })?;
-                    // PE ids are u32; reject counts the id space cannot hold.
-                    if n == 0 || u32::try_from(n).is_err() {
-                        return Err(SpecError(format!(
-                            "edge list line {lineno}: PE count {n} exceeds u32 ({GRAMMAR})"
-                        )));
-                    }
-                    num_pes = Some(n as usize);
-                }
-                (Some(u), Some(v)) => {
-                    let Some(n) = num_pes else {
-                        return Err(SpecError(format!(
-                            "edge list line {lineno}: edge before 'pes N' header ({GRAMMAR})"
-                        )));
-                    };
-                    let parse_id = |tok: &str| -> Result<u32, SpecError> {
-                        let wide: u64 = tok.parse().map_err(|_| {
-                            SpecError(format!(
-                                "edge list line {lineno}: bad PE id {tok:?} ({GRAMMAR})"
-                            ))
-                        })?;
-                        let id = u32::try_from(wide).map_err(|_| {
-                            SpecError(format!(
-                                "edge list line {lineno}: PE id {wide} exceeds u32 ({GRAMMAR})"
-                            ))
-                        })?;
-                        if (id as usize) >= n {
-                            return Err(SpecError(format!(
-                                "edge list line {lineno}: PE id {id} out of range 0..{n} ({GRAMMAR})"
-                            )));
-                        }
-                        Ok(id)
-                    };
-                    let (u, v) = (parse_id(u)?, parse_id(v)?);
-                    if u == v {
-                        return Err(SpecError(format!(
-                            "edge list line {lineno}: self-loop '{u} {v}' ({GRAMMAR})"
-                        )));
-                    }
-                    let key = (u.min(v), u.max(v));
-                    if !seen.insert(key) {
-                        return Err(SpecError(format!(
-                            "edge list line {lineno}: duplicate edge '{u} {v}' ({GRAMMAR})"
-                        )));
-                    }
-                    edges.push(vec![PeId(u), PeId(v)]);
-                }
-                _ => {
-                    return Err(SpecError(format!(
-                        "edge list line {lineno}: malformed line {body:?} ({GRAMMAR})"
-                    )));
-                }
-            }
-        }
-        let Some(num_pes) = num_pes else {
-            return Err(SpecError(format!(
-                "edge list {name:?}: missing 'pes N' header ({GRAMMAR})"
-            )));
-        };
-        Self::try_from_channels(name, num_pes, edges)
-    }
-
-    /// Load an edge-list topology from a file path (see
-    /// [`Topology::from_edge_list`] for the grammar).
-    pub fn from_edge_list_path(path: &std::path::Path) -> Result<Self, SpecError> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| SpecError(format!("open edge list {}: {e}", path.display())))?;
-        let name = format!("file {}", path.display());
-        Self::from_edge_list(name, std::io::BufReader::new(file))
-    }
 }
 
 /// The arithmetic router families the regular constructors attach.
@@ -1159,60 +1027,6 @@ mod tests {
     #[should_panic(expected = "no PEs")]
     fn empty_topology_panics() {
         Topology::from_channels("none", 0, vec![]);
-    }
-
-    // ------------------------------------------------------------------
-    // Edge-list loader.
-    // ------------------------------------------------------------------
-
-    fn load(text: &str) -> Result<Topology, SpecError> {
-        Topology::from_edge_list("test", std::io::Cursor::new(text))
-    }
-
-    #[test]
-    fn edge_list_loads_with_comments_and_blanks() {
-        let t = load("# a triangle\npes 3\n\n0 1\n1 2 # closing\n2 0\n").unwrap();
-        assert_eq!(t.num_pes(), 3);
-        assert_eq!(t.num_channels(), 3);
-        assert_eq!(t.diameter(), 1);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn edge_list_rejects_self_loop() {
-        let err = load("pes 3\n0 1\n1 1\n2 0\n").unwrap_err();
-        assert!(err.0.contains("self-loop"), "{err}");
-        assert!(err.0.contains("line 3"), "{err}");
-        assert!(err.0.contains("grammar"), "{err}");
-    }
-
-    #[test]
-    fn edge_list_rejects_duplicate_edge_either_orientation() {
-        let err = load("pes 3\n0 1\n1 2\n1 0\n").unwrap_err();
-        assert!(err.0.contains("duplicate edge"), "{err}");
-        assert!(err.0.contains("line 4"), "{err}");
-    }
-
-    #[test]
-    fn edge_list_rejects_oversized_ids_via_try_from() {
-        // An id beyond u32 must fail the checked conversion loudly, not
-        // wrap — the regression the unchecked `as u32` casts allowed.
-        let err = load("pes 4294967296\n0 1\n").unwrap_err();
-        assert!(err.0.contains("exceeds u32"), "{err}");
-        let err = load("pes 3\n0 99999999999\n").unwrap_err();
-        assert!(err.0.contains("exceeds u32"), "{err}");
-    }
-
-    #[test]
-    fn edge_list_rejects_missing_header_and_bad_lines() {
-        assert!(load("0 1\n").unwrap_err().0.contains("before 'pes N'"));
-        assert!(load("pes 3\n0\n").unwrap_err().0.contains("malformed"));
-        assert!(load("pes 3\n0 1 2\n")
-            .unwrap_err()
-            .0
-            .contains("too many fields"));
-        assert!(load("").unwrap_err().0.contains("missing 'pes N'"));
-        assert!(load("pes 3\n0 9\n").unwrap_err().0.contains("out of range"));
     }
 
     // ------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! shortest-path distance and deterministic next-hop queries: the regular
 //! families (grid/torus/hypercube/k-ary) arithmetically with no stored
 //! table, small arbitrary graphs from a precomputed all-pairs table, and
-//! large arbitrary graphs (edge-list files, `rand:NxD`) through a lazy
+//! large arbitrary graphs (`rand:NxD`) through a lazy
 //! BFS-on-demand router — so memory stays O(PEs + links) at every scale.
 
 pub mod dlm;

@@ -21,7 +21,6 @@ pub mod cyclic;
 pub mod dc;
 pub mod fib;
 pub mod lopsided;
-pub mod open;
 pub mod random_tree;
 pub mod spec;
 pub mod tak;
@@ -30,7 +29,6 @@ pub use cyclic::Cyclic;
 pub use dc::DivideConquer;
 pub use fib::Fibonacci;
 pub use lopsided::Lopsided;
-pub use open::{AnyWorkload, OpenWorkload, OPEN_WORKLOAD_GRAMMAR};
 pub use random_tree::RandomTree;
 pub use spec::{WorkloadSpec, WORKLOAD_GRAMMAR};
 pub use tak::Tak;

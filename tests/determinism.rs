@@ -172,30 +172,3 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
         );
     }
 }
-
-#[test]
-fn root_pe_choice_changes_placement_not_the_answer() {
-    let mk = |root: u32| {
-        let mut machine = MachineConfig::default().with_seed(4);
-        machine.root_pe = root;
-        machine.per_pe_metrics = true; // the assertion below reads the vectors
-        SimulationBuilder::new()
-            .topology(TopologySpec::grid(4))
-            .strategy(StrategySpec::Cwn {
-                radius: 4,
-                horizon: 1,
-            })
-            .workload(WorkloadSpec::fib(12))
-            .machine(machine)
-            .run_validated()
-            .unwrap()
-    };
-    let corner = mk(0);
-    let center = mk(5);
-    assert_eq!(corner.result, center.result);
-    assert_eq!(corner.goals_created, center.goals_created);
-    assert_ne!(
-        corner.per_pe_utilization, center.per_pe_utilization,
-        "moving the root must move the load"
-    );
-}

@@ -127,9 +127,9 @@ fn event_limit_is_enforced() {
 
 #[test]
 fn invalid_configurations_are_rejected_up_front() {
-    // Root PE out of range.
+    // Fault plan naming a PE out of range.
     let cfg = MachineConfig {
-        root_pe: 1000,
+        fault_plan: "crash:1000@5".parse().unwrap(),
         ..MachineConfig::default()
     };
     let err = SimulationBuilder::new().machine(cfg).run().unwrap_err();
@@ -175,7 +175,7 @@ fn killing_a_loaded_pe_is_detected_as_a_stall() {
     // recovery layer: the lost work must surface as a fault-attributed
     // failure (the crash was planned), never as a wrong answer.
     let cfg = MachineConfig {
-        fail_pe: Some((0, 200)),
+        fault_plan: "crash:0@200".parse().unwrap(),
         load_info: LoadInfoMode::Instant,
         ..MachineConfig::default()
     };
@@ -207,7 +207,7 @@ fn killing_an_idle_pe_is_harmless() {
     // Keep-local leaves PE 15 idle forever; killing it must not affect the
     // result.
     let cfg = MachineConfig {
-        fail_pe: Some((15, 100)),
+        fault_plan: "crash:15@100".parse().unwrap(),
         ..MachineConfig::default()
     };
     let r = SimulationBuilder::new()
@@ -223,7 +223,7 @@ fn killing_an_idle_pe_is_harmless() {
 #[test]
 fn error_messages_are_informative() {
     let cfg = MachineConfig {
-        root_pe: 1000,
+        fault_plan: "crash:1000@5".parse().unwrap(),
         ..MachineConfig::default()
     };
     let err = SimulationBuilder::new().machine(cfg).run().unwrap_err();

@@ -220,14 +220,14 @@ proptest! {
             .workload(WorkloadSpec::fib(11))
             .seed(seed)
             .config();
-        cfg.machine.fail_pe = Some((pe, at));
+        cfg.machine.fault_plan = format!("crash:{pe}@{at}").parse().unwrap();
         match cfg.run() {
             Ok(report) => {
                 prop_assert_eq!(report.result, 89, "wrong fib(11) after failure");
                 report.check_invariants();
             }
-            // The injected crash is folded into the fault plan, so losses
-            // are attributed to it; a crash that strands no goals can still
+            // Losses are attributed to the planned crash; a crash that
+            // strands no goals can still
             // stall (e.g. a response routed into the dead PE).
             Err(SimError::GoalsLost { expected_by_plan: true, .. }
                 | SimError::Stalled { .. }
