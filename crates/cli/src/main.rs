@@ -185,7 +185,7 @@ commands:
             --checkpoint-every T writes an atomic checkpoint every T sim
             time units (to --checkpoint-dir, default ./checkpoints);
             --resume FILE continues a checkpointed run to a bit-identical
-            final report (config is embedded; spec flags are not needed)
+            final report (config is embedded; only --csv may accompany it)
   trace-check FILE [--format jsonl|chrome]
             validate an exported trace file (well-formed JSON, required
             header fields, timestamps monotone per track); the format is
@@ -251,10 +251,11 @@ parallelism: one run executes sequentially; --threads N spreads the
   auto)\"); results are identical at any thread count.
 
 exit codes: 0 success (saturation is a measured outcome, not a failure) |
-            2 simulation failed (invariant violation, goals lost, stall,
-            …) | 3 configuration or I/O error | 4 overloaded (admission
-            control shed the majority of arrivals) | 5 deadline exhausted
-            (no request ever completed within its deadline)
+            2 simulation failed (invariant violation or wrong answer,
+            goals lost, stall, …) | 3 configuration or I/O error |
+            4 overloaded (admission control shed the majority of
+            arrivals) | 5 deadline exhausted (no request ever completed
+            within its deadline)
             failures print one line to stderr: error[CLASS]: message";
 
 /// The flags one subcommand accepts: each of `values` takes one argument,
@@ -304,6 +305,10 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
     ],
     operands: false,
 };
+
+/// The `run` flags a `--resume` honours; every other `run` flag is part of
+/// the configuration the checkpoint stores.
+const RESUME_FLAGS: [&str; 2] = ["--resume", "--csv"];
 
 const TRACE_CHECK_FLAGS: FlagSpec = FlagSpec {
     command: "trace-check",
@@ -531,12 +536,26 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         trace_cap = DEFAULT_EXPORT_TRACE_CAP;
     }
     let heatmap_path = flags.value_of("--heatmap");
+    let checkpoint_every: u64 = flags.parse("--checkpoint-every", 0)?;
+    if flags.has("--trace-format") && trace_out.is_none() {
+        return Err(Failure::config(
+            "--trace-format applies only with --trace-out",
+        ));
+    }
+    if flags.has("--checkpoint-dir") && checkpoint_every == 0 {
+        return Err(Failure::config(
+            "--checkpoint-dir applies only with --checkpoint-every",
+        ));
+    }
 
     if let Some(path) = flags.value_of("--resume") {
-        if trace_cap > 0 || heatmap_path.is_some() {
-            return Err(Failure::config(
-                "--resume replays the checkpointed config; --trace/--heatmap do not apply",
-            ));
+        // The checkpoint stores the whole run configuration; a flag that
+        // would change it must not be silently dropped.
+        let mut all = RUN_FLAGS.values.iter().chain(RUN_FLAGS.switches);
+        if let Some(flag) = all.find(|&&f| !RESUME_FLAGS.contains(&f) && flags.has(f)) {
+            return Err(Failure::config(format!(
+                "{flag} does not apply with --resume, which replays the checkpointed configuration"
+            )));
         }
         let (config, report) = oracle::checkpoint::resume_run(Path::new(path))
             .map_err(|e| checkpoint_failure(e).context(path))?;
@@ -598,7 +617,6 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         .machine(machine_cfg)
         .config();
 
-    let checkpoint_every: u64 = flags.parse("--checkpoint-every", 0)?;
     if checkpoint_every > 0 {
         if trace_cap > 0 || heatmap_path.is_some() {
             return Err(Failure::config(
@@ -921,17 +939,13 @@ fn write_report(out: &mut String, report: &Report, flags: &Flags) {
 /// Chaos-fuzzing sweep frontend over [`oracle::chaos`].
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
     let flags = Flags::new(args, &CHAOS_FLAGS)?;
+    // The sweep's worker count defaults to `default_threads`, which
+    // `--threads` sets.
+    apply_threads(&flags)?;
     let mut config = oracle::chaos::ChaosConfig::default();
     config.cases = flags.parse("--cases", config.cases)?;
     config.seed = flags.parse("--seed", config.seed)?;
     config.audit_every = flags.parse("--audit-every", config.audit_every)?;
-    let threads: usize = flags.parse("--threads", 0)?;
-    if flags.value_of("--threads").is_some() {
-        if threads == 0 {
-            return Err(Failure::config("--threads must be at least 1"));
-        }
-        config.threads = threads;
-    }
     let stall_secs: u64 = flags.parse("--stall-secs", config.stall_timeout.as_secs())?;
     config.stall_timeout = std::time::Duration::from_secs(stall_secs);
     let out_dir = flags.value_of("--out");
@@ -1763,7 +1777,57 @@ mod tests {
 
         let err = cmd_run(&flags(&["--resume", "/no/such/checkpoint"])).unwrap_err();
         assert_eq!(err.code, 3);
+
+        // The checkpoint carries the whole configuration: every flag but
+        // --csv would be silently ignored, so each one is refused.
+        let snap = snaps[0].to_str().unwrap();
+        cmd_run(&flags(&["--resume", snap, "--csv"])).expect("--csv applies to a resume");
+        for extra in [
+            &["--topology", "grid:4"][..],
+            &["--workload", "fib:9"],
+            &["--seed", "9"],
+            &["--faults", "loss:1%"],
+            &["--profile"],
+            &["--series-out", "series.csv"],
+        ] {
+            let mut a = flags(&["--resume", snap]);
+            a.extend(flags(extra));
+            let err = cmd_run(&a).unwrap_err();
+            assert_eq!((err.kind, err.code), ("config", 3), "{extra:?}");
+            assert!(err.message.starts_with(extra[0]), "{}", err.message);
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_refuses_flags_missing_their_partner() {
+        for (a, named) in [
+            (&["--checkpoint-dir", "ck"][..], "--checkpoint-dir"),
+            (
+                &["--checkpoint-every", "0", "--checkpoint-dir", "ck"],
+                "--checkpoint-dir",
+            ),
+            (&["--trace-format", "chrome"], "--trace-format"),
+            (
+                &["--trace", "5", "--trace-format", "jsonl"],
+                "--trace-format",
+            ),
+        ] {
+            let err = cmd_run(&flags(a)).unwrap_err();
+            assert_eq!((err.kind, err.code), ("config", 3), "{a:?}");
+            assert!(err.message.starts_with(named), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn a_wrong_answer_is_an_invariant_failure() {
+        let f = sim_failure(SimError::InvariantViolation {
+            check: "analytic-result",
+            time: 7,
+            digest: "result=144 expected=233 program=fib(13)".into(),
+        });
+        assert_eq!((f.kind, f.code), ("invariant", 2));
+        assert!(f.message.contains("analytic-result"), "{}", f.message);
     }
 
     #[test]
@@ -1880,6 +1944,10 @@ mod tests {
         .expect("a small chaos sweep passes");
         let err = cmd_chaos(&flags(&["--threads", "0"])).unwrap_err();
         assert_eq!((err.kind, err.code), ("config", 3));
+        // One `--threads` grammar: batch rejects 0 with the same words.
+        let batch = cmd_batch(&flags(&["suite.txt", "--threads", "0"])).unwrap_err();
+        assert_eq!(err.message, batch.message);
+        oracle::runner::clear_default_threads();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

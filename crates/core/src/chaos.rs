@@ -19,7 +19,6 @@
 //! reproducer line ready for `parse_suite` / `oracle-cli run --suite`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -31,7 +30,6 @@ use oracle_model::{
 use oracle_strategies::StrategySpec;
 use oracle_topo::TopologySpec;
 use oracle_workloads::WorkloadSpec;
-use parking_lot::Mutex;
 
 use crate::builder::RunConfig;
 
@@ -42,7 +40,9 @@ pub struct ChaosConfig {
     pub cases: usize,
     /// Master seed: same seed, same case list, same outcomes.
     pub seed: u64,
-    /// Worker threads (affects wall clock only, never outcomes).
+    /// Worker threads (affects wall clock only, never outcomes; at least
+    /// 1). Defaults to [`crate::runner::default_threads`], so the CLI's
+    /// `--threads` reaches it the same way it reaches `run_batch`.
     pub threads: usize,
     /// Wall-clock budget per case before it is declared hung.
     pub stall_timeout: Duration,
@@ -161,9 +161,9 @@ pub enum ChaosOutcome {
     Contained(SimError),
     /// The simulator panicked — always a bug.
     Panicked(String),
-    /// The auditor found inconsistent state, goals were lost with *no*
-    /// plan to blame, or the run rejected its own generated configuration
-    /// — always a bug.
+    /// The auditor found inconsistent state, a run computed a wrong answer
+    /// (see `Machine::finish`), goals were lost with *no* plan to blame, or
+    /// the run rejected its own generated configuration — always a bug.
     Violation(SimError),
     /// No answer within the wall-clock budget (seconds shown) — a hang the
     /// in-simulation watchdogs did not catch.
@@ -590,33 +590,8 @@ pub fn shrink_case(
 /// Run a full chaos sweep: generate, execute in parallel, shrink failures.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let cases = generate_cases(config);
-    let threads = config.threads.clamp(1, cases.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChaosOutcome>>> = cases.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cases.len() {
-                    break;
-                }
-                let outcome = run_case(&cases[i], config);
-                *slots[i].lock() = Some(outcome);
-            });
-        }
-    });
-
-    let outcomes: Vec<(ChaosCase, ChaosOutcome)> = cases
-        .into_iter()
-        .zip(slots)
-        .map(|(case, slot)| {
-            let outcome = slot
-                .into_inner()
-                .expect("every chaos slot is filled before scope exit");
-            (case, outcome)
-        })
-        .collect();
+    let outcomes = crate::runner::par_map(&cases, config.threads, |case| run_case(case, config));
+    let outcomes: Vec<(ChaosCase, ChaosOutcome)> = cases.into_iter().zip(outcomes).collect();
 
     // Shrink failures sequentially, in case order, so the reproducer set
     // is as deterministic as the sweep itself.
@@ -721,6 +696,20 @@ mod tests {
         let b = run_chaos(&parallel);
         let kinds = |r: &ChaosReport| r.outcomes.iter().map(|(_, o)| o.kind()).collect::<Vec<_>>();
         assert_eq!(kinds(&a), kinds(&b));
+    }
+
+    #[test]
+    fn a_wrong_answer_is_a_violation_even_under_faults() {
+        let wrong = SimError::InvariantViolation {
+            check: "analytic-result",
+            time: 9,
+            digest: "result=1 expected=2 program=fib(3)".into(),
+        };
+        for plan_is_empty in [true, false] {
+            let outcome = classify(wrong.clone(), plan_is_empty);
+            assert_eq!(outcome.kind(), "violation");
+            assert!(outcome.is_failure());
+        }
     }
 
     #[test]

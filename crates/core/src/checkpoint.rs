@@ -639,6 +639,28 @@ mod tests {
     }
 
     #[test]
+    fn resume_under_another_workload_fails_the_analytic_check() {
+        // A fib:12 snapshot stored under a fib:13 config decodes and runs,
+        // but the root computes fib(12): resume must fail, not report it.
+        let dir = scratch_dir("mismatch");
+        let config = sample_config();
+        let mut machine = config.machine().unwrap();
+        machine.begin();
+        assert!(!machine.advance_until(Some(300)).unwrap());
+        let mut swapped = config;
+        swapped.workload = WorkloadSpec::fib(13);
+        let path = dir.join("swapped.oracle");
+        std::fs::write(&path, checkpoint_bytes(&swapped, &mut machine)).unwrap();
+        match resume_run(&path) {
+            Err(CheckpointError::Sim(SimError::InvariantViolation { check, .. })) => {
+                assert_eq!(check, "analytic-result")
+            }
+            other => panic!("expected an analytic-result violation, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn refuses_the_v5_layout() {
         let mut w = SnapWriter::new();
         w.u32(CHECKPOINT_MAGIC);

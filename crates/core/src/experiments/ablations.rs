@@ -585,7 +585,7 @@ mod tests {
                 .workload(WorkloadSpec::dc(144))
                 .config();
             cfg.machine.queue_discipline = d;
-            cfg.run_validated().unwrap()
+            cfg.run().unwrap()
         };
         let fifo = run(Q::Fifo);
         let lifo = run(Q::Lifo);

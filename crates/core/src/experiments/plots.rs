@@ -148,7 +148,7 @@ pub fn util_vs_time(
                 seed,
                 ..MachineConfig::default()
             })
-            .run_validated()
+            .run()
             .expect("util_vs_time run failed");
         r.util_series
             .iter()

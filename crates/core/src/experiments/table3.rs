@@ -36,7 +36,7 @@ pub fn run(fidelity: Fidelity, seed: u64) -> HopDistributions {
             .strategy(strategy)
             .workload(workload)
             .machine(MachineConfig::default().with_seed(seed))
-            .run_validated()
+            .run()
             .expect("table 3 run failed")
     };
     HopDistributions {

@@ -33,8 +33,7 @@ impl RunSpec {
     }
 }
 
-/// Run every spec (validated against analytic results), in parallel, and
-/// return the reports in input order.
+/// Run every spec in parallel and return the reports in input order.
 pub fn run_batch(specs: &[RunSpec]) -> Vec<(String, Result<Report, SimError>)> {
     run_batch_with_threads(specs, default_threads())
 }
@@ -96,43 +95,56 @@ pub fn default_threads() -> usize {
 ///
 /// # Panics
 ///
-/// Panics on `threads == 0` (formerly clamped to 1 silently — a zero here
-/// is always a caller bug, e.g. an empty env var parsed as 0). The valid
-/// grammar is [`THREADS_GRAMMAR`].
+/// Panics on `threads == 0`, like [`par_map`].
 pub fn run_batch_with_threads(
     specs: &[RunSpec],
     threads: usize,
 ) -> Vec<(String, Result<Report, SimError>)> {
+    par_map(specs, threads, |spec| {
+        (spec.label.clone(), spec.config.run())
+    })
+}
+
+/// Apply `f` to every item on up to `threads` scoped workers and return
+/// the results in input order. Workers claim the next unclaimed index, so
+/// `threads` decides wall-clock order only: each result lands in its
+/// item's slot. The one worker pool behind [`run_batch`] and the chaos
+/// sweep.
+///
+/// # Panics
+///
+/// Panics on `threads == 0`: a zero here is always a caller bug, e.g. an
+/// empty env var parsed as 0. The valid grammar is [`THREADS_GRAMMAR`].
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     assert!(
         threads >= 1,
         "thread count 0 is not a degree of parallelism; use {THREADS_GRAMMAR}"
     );
-    let threads = threads.min(specs.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<Report, SimError>>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..threads.min(items.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
+                if i >= items.len() {
                     break;
                 }
-                let result = specs[i].config.run_validated();
+                let result = f(&items[i]);
                 *slots[i].lock() = Some(result);
             });
         }
     });
 
-    specs
-        .iter()
-        .zip(slots)
-        .map(|(spec, slot)| {
-            let result = slot
-                .into_inner()
-                .expect("every batch slot is filled before scope exit");
-            (spec.label.clone(), result)
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("every slot is filled before scope exit")
         })
         .collect()
 }

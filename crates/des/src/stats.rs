@@ -237,21 +237,6 @@ impl Histogram {
             sum,
         }
     }
-
-    /// Merge another histogram (must have the same bucket count).
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "merging histograms of different widths"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-    }
 }
 
 /// Streaming percentile estimator over `u64` values: a fixed-bucket log
@@ -421,16 +406,6 @@ impl LogHistogram {
             max,
         }
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Accumulates the busy time of a single resource.
@@ -547,30 +522,6 @@ impl IntervalSeries {
     /// [`Self::MAX_INTERVALS`]).
     pub fn width(&self) -> u64 {
         self.width
-    }
-
-    /// Fold another series into this one by per-interval addition.
-    ///
-    /// Both series must sample the same underlying clock. If their widths
-    /// differ (one of them outgrew [`Self::MAX_INTERVALS`] and coarsened),
-    /// the finer series is coarsened to the common width first — coarsening
-    /// is exact pairwise addition, so the merged buckets equal what a single
-    /// series fed every `add_busy` span from both sources would hold,
-    /// regardless of the order the spans arrived in.
-    pub fn merge(&mut self, other: &IntervalSeries) {
-        let mut other = other.clone();
-        while self.width < other.width {
-            self.coarsen();
-        }
-        while other.width < self.width {
-            other.coarsen();
-        }
-        if self.busy.len() < other.busy.len() {
-            self.busy.resize(other.busy.len(), 0);
-        }
-        for (dst, src) in self.busy.iter_mut().zip(other.busy.iter()) {
-            *dst += *src;
-        }
     }
 
     /// Record that the resource was busy over `[from, to)`, splitting the
@@ -736,27 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(3);
-        let mut b = Histogram::new(3);
-        a.record(0);
-        b.record(0);
-        b.record(2);
-        b.record(7);
-        a.merge(&b);
-        assert_eq!(a.bucket(0), 2);
-        assert_eq!(a.bucket(2), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn histogram_merge_width_mismatch_panics() {
-        Histogram::new(2).merge(&Histogram::new(3));
-    }
-
-    #[test]
     fn log_histogram_exact_below_linear_range() {
         let mut h = LogHistogram::new();
         for v in 0..16 {
@@ -817,28 +747,6 @@ mod tests {
         assert_eq!(back.max(), h.max());
         for q in [0.1, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(back.quantile(q), h.quantile(q));
-        }
-    }
-
-    #[test]
-    fn log_histogram_merge_matches_sequential() {
-        let mut whole = LogHistogram::new();
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for i in 0..200u64 {
-            let v = i * i * 37 % 100_000;
-            whole.record(v);
-            if i < 80 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.total(), whole.total());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
         }
     }
 

@@ -1529,7 +1529,9 @@ impl Machine {
 
     /// Consume the machine after [`Machine::advance_until`] returned
     /// `Ok(true)` and produce the report (or the stall error when the
-    /// calendar drained without a root result).
+    /// calendar drained without a root result). Every run path ends here,
+    /// so every closed run is checked against the program's analytic
+    /// answer: a mismatch is an [`SimError::InvariantViolation`].
     pub fn finish(mut self) -> Result<(Report, Trace), SimError> {
         // An open run may also end by draining the calendar early (arrival
         // schedule exhausted and all work done); its report is always
@@ -1538,7 +1540,53 @@ impl Machine {
             return Err(self.stall_error());
         }
         let report = self.build_report();
+        self.check_analytic(&report)?;
         Ok((report, std::mem::take(&mut self.core.trace)))
+    }
+
+    /// Compare a closed run's report with the program's analytic result
+    /// and goal count. Open runs have no single root result or goal count
+    /// (every arrival spawns its own tree) and are skipped. Under a fault
+    /// plan the goal count legitimately diverges (lost goals, re-spawned
+    /// subtrees), so only the result is checked there.
+    fn check_analytic(&self, report: &Report) -> Result<(), SimError> {
+        if self.core.open.is_some() {
+            return Ok(());
+        }
+        let program = &self.core.program;
+        let violation = |check, digest| SimError::InvariantViolation {
+            check,
+            time: self.core.now().units(),
+            digest,
+        };
+        if let Some(expected) = program.expected_result() {
+            if report.result != expected {
+                return Err(violation(
+                    "analytic-result",
+                    format!(
+                        "result={} expected={expected} program={}",
+                        report.result,
+                        program.name()
+                    ),
+                ));
+            }
+        }
+        if let Some(goals) = program
+            .expected_goals()
+            .filter(|_| self.core.plan.is_empty())
+        {
+            if report.goals_created != goals {
+                return Err(violation(
+                    "analytic-goals",
+                    format!(
+                        "created={} expected={goals} program={}",
+                        report.goals_created,
+                        program.name()
+                    ),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The error for a run that cannot make progress any more. When faults
@@ -3127,5 +3175,112 @@ mod tests {
         assert_eq!(profiled.completion_time, plain.completion_time);
         assert_eq!(profiled.events, plain.events);
         assert_eq!(profiled.hop_histogram, plain.hop_histogram);
+    }
+
+    /// fib(n), computed faithfully, claiming whatever analytic answer the
+    /// test gives it.
+    struct Claimed {
+        n: i64,
+        result: Option<i64>,
+        goals: Option<u64>,
+    }
+
+    impl Program for Claimed {
+        fn name(&self) -> String {
+            Fib(self.n).name()
+        }
+        fn root(&self) -> TaskSpec {
+            Fib(self.n).root()
+        }
+        fn expand(&self, spec: &TaskSpec) -> Expansion {
+            Fib(self.n).expand(spec)
+        }
+        fn combine(&self, spec: &TaskSpec, acc: i64, child: i64) -> i64 {
+            Fib(self.n).combine(spec, acc, child)
+        }
+        fn expected_result(&self) -> Option<i64> {
+            self.result
+        }
+        fn expected_goals(&self) -> Option<u64> {
+            self.goals
+        }
+    }
+
+    /// fib(10) = 55 over 177 goals, claiming `result` and `goals`.
+    fn claimed(result: Option<i64>, goals: Option<u64>, config: MachineConfig) -> Machine {
+        Machine::new(
+            ring(4),
+            Box::new(Claimed {
+                n: 10,
+                result,
+                goals,
+            }),
+            Box::new(ScatterRing),
+            CostModel::unit(),
+            config,
+        )
+        .unwrap()
+    }
+
+    fn analytic_check(result: Result<Report, SimError>) -> &'static str {
+        match result {
+            Err(SimError::InvariantViolation { check, .. }) => check,
+            other => panic!("expected an analytic invariant violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_wrong_answer_fails_every_run_path() {
+        let cfg = MachineConfig::default();
+        let truth = claimed(Some(55), Some(177), cfg.clone()).run().unwrap();
+        assert_eq!(truth.result, 55);
+
+        let run = claimed(Some(56), None, cfg.clone()).run();
+        assert_eq!(analytic_check(run), "analytic-result");
+        let traced = claimed(Some(56), None, cfg.clone()).run_traced();
+        assert_eq!(analytic_check(traced.map(|(r, _)| r)), "analytic-result");
+
+        // A run resumed from a snapshot ends in the same check.
+        let mut first = claimed(Some(56), None, cfg.clone());
+        first.begin();
+        assert!(!first
+            .advance_until(Some(truth.completion_time / 2))
+            .unwrap());
+        let bytes = first.snapshot_bytes();
+        let mut resumed = claimed(Some(56), None, cfg);
+        resumed.restore_bytes(&bytes).unwrap();
+        assert!(resumed.advance_until(None).unwrap());
+        let finished = resumed.finish().map(|(r, _)| r);
+        assert_eq!(analytic_check(finished), "analytic-result");
+    }
+
+    #[test]
+    fn a_wrong_goal_count_fails_only_without_a_fault_plan() {
+        let run = claimed(None, Some(178), MachineConfig::default()).run();
+        assert_eq!(analytic_check(run), "analytic-goals");
+
+        // A fault plan may lose and re-spawn goals: the count is not
+        // checked, the result still is.
+        let faulty = MachineConfig {
+            fault_plan: FaultPlan::none().slow(1, 10, 50, 2),
+            ..MachineConfig::default()
+        };
+        let report = claimed(Some(55), Some(178), faulty.clone()).run().unwrap();
+        assert_eq!(report.goals_created, 177);
+        let run = claimed(Some(56), Some(178), faulty).run();
+        assert_eq!(analytic_check(run), "analytic-result");
+    }
+
+    #[test]
+    fn an_open_run_skips_the_analytic_checks() {
+        let cfg = MachineConfig {
+            open: Some(crate::open::OpenTraffic::new(
+                "poisson:4".parse().unwrap(),
+                2000,
+            )),
+            ..MachineConfig::default()
+        };
+        let report = claimed(Some(56), Some(178), cfg).run().unwrap();
+        assert!(report.open.is_some());
     }
 }

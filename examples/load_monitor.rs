@@ -52,7 +52,7 @@ fn main() {
         .per_pe_series(true)
         .sampling_interval(100)
         .seed(3)
-        .run_validated()
+        .run()
         .expect("simulation failed");
 
     let series = report

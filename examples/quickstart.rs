@@ -28,7 +28,7 @@ fn main() {
             .strategy(strategy)
             .workload(workload)
             .seed(2024)
-            .run_validated()
+            .run()
             .expect("simulation failed");
 
         println!("strategy {} ({strategy})", report.strategy);

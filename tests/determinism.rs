@@ -34,7 +34,7 @@ fn run(strategy: StrategySpec, seed: u64) -> Report {
         // the per-PE equality below stays a real check, not empty==empty.
         .per_pe_metrics(true)
         .seed(seed)
-        .run_validated()
+        .run()
         .unwrap()
 }
 
@@ -163,7 +163,7 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
             .per_pe_metrics(true) // match `run` for the Debug comparison
             .seed(42)
             .fault_plan(oracle::model::FaultPlan::none())
-            .run_validated()
+            .run()
             .unwrap();
         assert_eq!(
             format!("{plain:?}"),

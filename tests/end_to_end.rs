@@ -127,8 +127,8 @@ fn every_workload_family_runs_under_both_competitors() {
             ));
         }
     }
-    // run_batch validates results and goal counts against the analytic
-    // expectations internally (run_validated).
+    // Every run checks its result and goal count against the analytic
+    // expectations (Machine::finish).
     for (label, result) in run_batch(&specs) {
         let r = result.unwrap_or_else(|e| panic!("{label}: {e}"));
         r.check_invariants();
@@ -150,7 +150,7 @@ fn cyclic_workload_drains_and_refills_the_machine() {
         })
         .sampling_interval(50)
         .seed(2)
-        .run_validated()
+        .run()
         .unwrap();
     // Utilization must rise and fall repeatedly: count the falling edges
     // below 30% after having been above 60%.
@@ -185,7 +185,7 @@ fn heterogeneous_grains_change_total_work() {
             radius: 4,
             horizon: 1,
         })
-        .run_validated()
+        .run()
         .unwrap();
     let spread = SimulationBuilder::new()
         .topology(TopologySpec::grid(4))
@@ -199,7 +199,7 @@ fn heterogeneous_grains_change_total_work() {
             radius: 4,
             horizon: 1,
         })
-        .run_validated()
+        .run()
         .unwrap();
     assert!(
         spread.seq_work > uniform.seq_work,
@@ -222,7 +222,7 @@ fn bigger_machines_do_not_slow_down_a_fixed_workload() {
             })
             .workload(WorkloadSpec::fib(15))
             .seed(3)
-            .run_validated()
+            .run()
             .unwrap()
             .completion_time
     };
@@ -246,7 +246,7 @@ fn no_coprocessor_slows_gm_more_than_cwn() {
             .workload(WorkloadSpec::fib(13))
             .coprocessor(coproc)
             .seed(6)
-            .run_validated()
+            .run()
             .unwrap()
             .completion_time as f64
     };
@@ -283,7 +283,7 @@ fn hop_histogram_overflow_is_counted_not_lost() {
         .strategy(StrategySpec::RandomWalk { hops: 70 })
         .workload(WorkloadSpec::fib(10))
         .seed(5)
-        .run_validated()
+        .run()
         .unwrap();
     report.check_invariants();
     assert!(

@@ -110,9 +110,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let heap = open_config(topology, strategy, arrivals.clone(), seed, QueueBackend::Heap)
-            .run_validated();
+            .run();
         let cal = open_config(topology, strategy, arrivals, seed, QueueBackend::Calendar)
-            .run_validated();
+            .run();
         prop_assert_eq!(format!("{heap:?}"), format!("{cal:?}"));
     }
 }
@@ -131,7 +131,7 @@ fn saturation_trip_wire_fires_on_overload() {
         .workload(WorkloadSpec::fib(10))
         .seed(3)
         .open(Some(open))
-        .run_validated()
+        .run()
         .expect("a saturated run is a clean outcome, not an error");
     let o = report.open.expect("open metrics present");
     match o.outcome {
@@ -147,8 +147,7 @@ fn saturation_trip_wire_fires_on_overload() {
 /// Full overload-protection stack — deadline, retry, admission, breaker —
 /// under a crash-and-loss fault plan: the report must still be a pure
 /// function of (config, seed) across queue backends and thread counts, and
-/// the arrival-conservation invariant must hold (checked by
-/// `run_validated`).
+/// the arrival-conservation invariant must hold.
 #[test]
 fn overload_protection_is_deterministic_across_backends_and_threads() {
     let config = |backend| {
@@ -171,8 +170,8 @@ fn overload_protection_is_deterministic_across_backends_and_threads() {
             .open(Some(open))
             .config()
     };
-    let heap = config(QueueBackend::Heap).run_validated();
-    let cal = config(QueueBackend::Calendar).run_validated();
+    let heap = config(QueueBackend::Heap).run();
+    let cal = config(QueueBackend::Calendar).run();
     assert_eq!(format!("{heap:?}"), format!("{cal:?}"));
 
     let specs = vec![RunSpec::new("overload", config(QueueBackend::Heap))];
@@ -212,7 +211,7 @@ fn token_bucket_sheds_instead_of_melting_down() {
         .workload(WorkloadSpec::fib(10))
         .seed(3)
         .open(Some(open))
-        .run_validated()
+        .run()
         .expect("a shedding run is a clean outcome");
     let o = report.open.expect("open metrics present");
     assert!(
@@ -258,7 +257,7 @@ fn every_arrival_family_reproduces_under_fixed_seed() {
                 11,
                 QueueBackend::Heap,
             )
-            .run_validated()
+            .run()
         };
         let (a, b) = (run(), run());
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{spec}");

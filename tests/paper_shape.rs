@@ -38,7 +38,7 @@ fn grid_advantage_grows_with_machine_size() {
                 .strategy(s)
                 .workload(WorkloadSpec::fib(15))
                 .seed(1)
-                .run_validated()
+                .run()
                 .unwrap()
                 .speedup
         };
@@ -193,7 +193,7 @@ fn dc_and_fib_agree_on_the_winner() {
                 .strategy(s)
                 .workload(workload)
                 .seed(2)
-                .run_validated()
+                .run()
                 .unwrap()
                 .speedup
         };
@@ -215,7 +215,7 @@ fn dlm_advantage_is_milder_than_grid() {
                 .strategy(s)
                 .workload(WorkloadSpec::fib(15))
                 .seed(1)
-                .run_validated()
+                .run()
                 .unwrap()
                 .speedup
         };
