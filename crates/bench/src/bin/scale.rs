@@ -19,27 +19,25 @@ use std::process::Command;
 use oracle_bench::scale::{
     cell_line, cell_names, parse_cell_line, run_cell, to_json, validate_json,
 };
+use oracle_bench::Flags;
 
 fn main() {
+    let mut flags = Flags::from_env(
+        "scale [--quick] [--seed N] [--out FILE] | --cell SPEC [--seed N] | --check FILE",
+    );
     let mut quick = false;
     let mut seed = 1u64;
     let mut out = PathBuf::from("BENCH_scale.json");
     let mut cell: Option<String> = None;
     let mut check: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--out" => out = PathBuf::from(args.next().expect("--out needs a path")),
-            "--cell" => cell = Some(args.next().expect("--cell needs a topology spec")),
-            "--check" => check = Some(PathBuf::from(args.next().expect("--check needs a path"))),
-            other => panic!("unknown flag {other}"),
+            "--seed" => seed = flags.value("--seed"),
+            "--out" => out = flags.value("--out"),
+            "--cell" => cell = Some(flags.value("--cell")),
+            "--check" => check = Some(flags.value("--check")),
+            other => flags.usage(&format!("unknown flag {other}")),
         }
     }
 
@@ -59,6 +57,9 @@ fn main() {
     }
 
     if let Some(name) = cell {
+        if let Err(e) = name.parse::<oracle::prelude::TopologySpec>() {
+            flags.usage(&format!("--cell: {e}"));
+        }
         // Child mode: one cell, this process, peak RSS is ours alone.
         let c = run_cell(&name, seed);
         println!("{}", cell_line(&c));

@@ -25,37 +25,42 @@
 
 use oracle::model::QueueBackend;
 use oracle_bench::throughput::{check, run_grid, to_json};
+use oracle_bench::Flags;
 
 fn main() {
+    let mut flags = Flags::from_env(
+        "throughput [--quick] [--reps N] [--seed N] [--backend heap|calendar] \
+         [--out PATH] [--check PATH] [--tolerance F]",
+    );
     let mut out_path = String::from("BENCH_throughput.json");
     let mut check_path: Option<String> = None;
     let mut tolerance = 0.25f64;
     let mut reps = 3usize;
     let mut seed = 1u64;
     let mut backend = QueueBackend::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--quick" => reps = 1,
-            "--reps" => reps = parse(&value("--reps"), "--reps"),
-            "--seed" => seed = parse(&value("--seed"), "--seed"),
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            "--tolerance" => tolerance = parse(&value("--tolerance"), "--tolerance"),
+            "--reps" => reps = flags.value("--reps"),
+            "--seed" => seed = flags.value("--seed"),
+            "--out" => out_path = flags.value("--out"),
+            "--check" => check_path = Some(flags.value("--check")),
+            "--tolerance" => tolerance = flags.value("--tolerance"),
             "--backend" => {
-                backend = match value("--backend").as_str() {
+                backend = match flags.value::<String>("--backend").as_str() {
                     "heap" => QueueBackend::Heap,
                     "calendar" => QueueBackend::Calendar,
-                    other => usage(&format!("--backend must be heap or calendar, got {other}")),
+                    other => {
+                        flags.usage(&format!("--backend must be heap or calendar, got {other}"))
+                    }
                 }
             }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag {other}")),
+            "--help" | "-h" => flags.usage(""),
+            other => flags.usage(&format!("unknown flag {other}")),
         }
+    }
+    if reps == 0 {
+        flags.usage("--reps must be at least 1");
     }
 
     let cells = run_grid(reps, seed, backend);
@@ -75,22 +80,6 @@ fn main() {
     if !ok {
         std::process::exit(1);
     }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| usage(&format!("bad {flag} value {s}")))
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: throughput [--quick] [--reps N] [--seed N] [--backend heap|calendar] \
-         [--out PATH] [--check PATH] [--tolerance F]"
-    );
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
 fn fatal(msg: &str) -> ! {

@@ -14,9 +14,9 @@
 //! (`--cell NAME`) and each child reports its own peak. One line of
 //! `CELL {...}` JSON per child is the whole protocol.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use oracle::json::{parse_json, Json, Obj};
 use oracle::model::{LoadInfoMode, MachineConfig};
 use oracle::prelude::*;
 
@@ -108,62 +108,46 @@ pub fn run_cell(name: &str, seed: u64) -> ScaleCell {
     }
 }
 
-/// The one-line child → parent protocol: `CELL {...}` on stdout.
-pub fn cell_line(c: &ScaleCell) -> String {
-    format!(
-        "CELL {{\"name\": \"{}\", \"pes\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-         \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}",
-        c.name, c.pes, c.events, c.wall_secs, c.events_per_sec, c.peak_rss_bytes
-    )
+fn cell_obj(c: &ScaleCell) -> Obj {
+    Obj::new()
+        .str("name", &c.name)
+        .uint("pes", c.pes as u64)
+        .uint("events", c.events)
+        .float("wall_secs", c.wall_secs, 6)
+        .float("events_per_sec", c.events_per_sec, 0)
+        .uint("peak_rss_bytes", c.peak_rss_bytes)
 }
 
-/// Parse a [`cell_line`] back (the workspace carries no JSON parser; this
-/// reads the exact schema `cell_line` writes).
-pub fn parse_cell_line(line: &str) -> Option<ScaleCell> {
-    let body = line.strip_prefix("CELL ")?;
-    let str_field = |key: &str| -> Option<String> {
-        let tag = format!("\"{key}\": \"");
-        let at = body.find(&tag)? + tag.len();
-        let rest = &body[at..];
-        Some(rest[..rest.find('"')?].to_string())
-    };
-    let num_field = |key: &str| -> Option<f64> {
-        let tag = format!("\"{key}\": ");
-        let at = body.find(&tag)? + tag.len();
-        let rest = &body[at..];
-        let end = rest
-            .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    Some(ScaleCell {
-        name: str_field("name")?,
-        pes: num_field("pes")? as usize,
-        events: num_field("events")? as u64,
-        wall_secs: num_field("wall_secs")?,
-        events_per_sec: num_field("events_per_sec")?,
-        peak_rss_bytes: num_field("peak_rss_bytes")? as u64,
+fn cell_from_json(v: &Json) -> Result<ScaleCell, String> {
+    Ok(ScaleCell {
+        name: v.text("name")?.to_string(),
+        pes: v.num("pes")? as usize,
+        events: v.num("events")? as u64,
+        wall_secs: v.num("wall_secs")?,
+        events_per_sec: v.num("events_per_sec")?,
+        peak_rss_bytes: v.num("peak_rss_bytes")? as u64,
     })
+}
+
+/// The one-line child → parent protocol: `CELL ` and the cell's JSON
+/// object on stdout.
+pub fn cell_line(c: &ScaleCell) -> String {
+    format!("CELL {}", cell_obj(c))
+}
+
+/// Parse a [`cell_line`] back; `None` for any other line.
+pub fn parse_cell_line(line: &str) -> Option<ScaleCell> {
+    cell_from_json(&parse_json(line.strip_prefix("CELL ")?).ok()?).ok()
 }
 
 /// Render the grid as the `oracle-bench-scale/v1` JSON.
 pub fn to_json(cells: &[ScaleCell], seed: u64) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"oracle-bench-scale/v1\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"rss_budget_bytes\": {RSS_BUDGET_BYTES},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"pes\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}{comma}",
-            c.name, c.pes, c.events, c.wall_secs, c.events_per_sec, c.peak_rss_bytes
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let doc = Obj::new()
+        .str("schema", "oracle-bench-scale/v1")
+        .uint("seed", seed)
+        .uint("rss_budget_bytes", RSS_BUDGET_BYTES)
+        .arr("cells", cells.iter().map(cell_obj).collect());
+    format!("{doc}\n")
 }
 
 /// Validate a `BENCH_scale.json` blob: schema tag, well-formed cells, the
@@ -171,19 +155,20 @@ pub fn to_json(cells: &[ScaleCell], seed: u64) -> String {
 /// Returns a list of problems (empty means valid). CI runs this against
 /// the committed file.
 pub fn validate_json(json: &str) -> Result<(), String> {
+    let doc = parse_json(json).map_err(|e| format!("not JSON: {e}"))?;
     let mut problems = Vec::new();
-    if !json.contains("\"schema\": \"oracle-bench-scale/v1\"") {
+    if doc.text("schema") != Ok("oracle-bench-scale/v1") {
         problems.push("missing or wrong schema tag (want oracle-bench-scale/v1)".to_string());
     }
     let mut cells = Vec::new();
-    for line in json.lines() {
-        let trimmed = line.trim().trim_end_matches(',');
-        if !trimmed.starts_with("{\"name\"") {
-            continue;
-        }
-        match parse_cell_line(&format!("CELL {trimmed}")) {
-            Some(c) => cells.push(c),
-            None => problems.push(format!("malformed cell line: {trimmed}")),
+    let entries = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    for (i, entry) in entries.iter().enumerate() {
+        match cell_from_json(entry) {
+            Ok(c) => cells.push(c),
+            Err(e) => problems.push(format!("malformed cell {i}: {e}")),
         }
     }
     for want in ["torus:32", "torus:100", "torus:316", "torus:1000"] {
@@ -258,6 +243,17 @@ mod tests {
         assert!(err.contains("exceeds"), "{err}");
 
         assert!(validate_json("{}").is_err(), "empty JSON must not validate");
+        assert!(validate_json("not json").is_err());
+        let err =
+            validate_json(&good.replace("\"events\": 1000", "\"events\": \"x\"")).unwrap_err();
+        assert!(err.contains("malformed cell 0"), "{err}");
+    }
+
+    #[test]
+    fn committed_baseline_validates() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+        let json = std::fs::read_to_string(path).expect("BENCH_scale.json is committed");
+        validate_json(&json).expect("committed baseline validates");
     }
 
     #[test]

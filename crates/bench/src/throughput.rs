@@ -7,14 +7,13 @@
 //!
 //! The committed `BENCH_throughput.json` at the repo root is the tracked
 //! baseline every PR is measured against; [`check`] re-runs the grid and
-//! flags any cell whose events/sec regressed beyond a tolerance. The JSON
-//! is emitted and read by purpose-built code for the exact schema below —
-//! the workspace deliberately carries no JSON parser.
+//! flags any cell whose events/sec regressed beyond a tolerance. The file
+//! is written and read through the shared `oracle::json` codec.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use oracle::builder::paper_strategies;
+use oracle::json::{parse_json, Json, Obj};
 use oracle::model::QueueBackend;
 use oracle::prelude::*;
 
@@ -171,25 +170,46 @@ pub fn peak_rss_bytes() -> u64 {
 /// v2 added the per-cell `peak_rss_bytes`; v3 drops v2's two per-cell
 /// fields that timed the retired multi-worker engine.
 pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"oracle-bench-throughput/v3\",");
-    let _ = writeln!(s, "  \"reps\": {reps},");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"peak_rss_bytes\": {},", peak_rss_bytes());
-    let _ = writeln!(s, "  \"headline\": \"{}\",", cells[0].name);
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"events\": {}, \"completion_time\": {}, \
-             \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"peak_rss_bytes\": {}}}{comma}",
-            c.name, c.events, c.completion_time, c.wall_secs, c.events_per_sec, c.peak_rss_bytes,
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = cells
+        .iter()
+        .map(|c| {
+            Obj::new()
+                .str("name", &c.name)
+                .uint("events", c.events)
+                .uint("completion_time", c.completion_time)
+                .float("wall_secs", c.wall_secs, 6)
+                .float("events_per_sec", c.events_per_sec, 0)
+                .uint("peak_rss_bytes", c.peak_rss_bytes)
+        })
+        .collect();
+    let doc = Obj::new()
+        .str("schema", "oracle-bench-throughput/v3")
+        .uint("reps", reps as u64)
+        .uint("seed", seed)
+        .uint("peak_rss_bytes", peak_rss_bytes())
+        .str("headline", &cells[0].name)
+        .arr("cells", rows);
+    format!("{doc}\n")
+}
+
+/// `(name, events_per_sec)` of every cell of a [`to_json`] baseline, in
+/// file order.
+pub fn committed_cells(reference: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = parse_json(reference)?;
+    let cells = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .ok_or("no cells array")?;
+    cells
+        .iter()
+        .map(|c| {
+            let name = c.text("name")?;
+            let eps = c
+                .num("events_per_sec")
+                .map_err(|e| format!("cell {name}: {e}"))?;
+            Ok((name.to_string(), eps))
+        })
+        .collect()
 }
 
 /// Compare fresh cells against a stored JSON baseline (matched by cell
@@ -201,40 +221,43 @@ pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
 /// summing the grid averages those spikes out and weights the verdict
 /// toward the long, stable cells, so a smoke run (`--quick`) is meaningful
 /// on a noisy CI box. Per-cell shortfalls still print as advisories.
-/// Returns false if the aggregate regressed past `tolerance`, or if the
-/// fresh and committed cell sets differ (a renamed, added or dropped cell
-/// would otherwise go ungated); the unmatched names on both sides print.
+/// Returns false if the aggregate regressed past `tolerance`, if the
+/// baseline does not parse, or if the fresh and committed cell sets differ
+/// or are empty (a renamed, added or dropped cell would otherwise go
+/// ungated); the unmatched names on both sides print.
 pub fn check(cells: &[Cell], reference: &str, tolerance: f64) -> bool {
-    let committed = reference_cell_names(reference);
+    let committed = match committed_cells(reference) {
+        Ok(committed) => committed,
+        Err(e) => {
+            eprintln!("REGRESSION check: unreadable baseline: {e}");
+            return false;
+        }
+    };
     let fresh_only: Vec<&str> = cells
         .iter()
         .map(|c| c.name.as_str())
-        .filter(|n| !committed.contains(n))
+        .filter(|n| !committed.iter().any(|(name, _)| name == n))
         .collect();
     let committed_only: Vec<&str> = committed
         .iter()
-        .copied()
+        .map(|(name, _)| name.as_str())
         .filter(|n| !cells.iter().any(|c| c.name == *n))
         .collect();
-    if !fresh_only.is_empty() || !committed_only.is_empty() {
+    if !fresh_only.is_empty() || !committed_only.is_empty() || cells.is_empty() {
         eprintln!(
-            "REGRESSION check: cell sets differ; fresh only: [{}]; committed only: [{}]",
+            "REGRESSION check: cell sets differ or are empty; fresh only: [{}]; \
+             committed only: [{}]",
             fresh_only.join(", "),
             committed_only.join(", ")
         );
         return false;
     }
-    let mut compared = 0;
     let (mut events, mut secs, mut ref_secs) = (0u64, 0f64, 0f64);
     for c in cells {
-        let Some(ref_eps) = lookup_events_per_sec(reference, &c.name) else {
-            eprintln!(
-                "REGRESSION check: committed cell {} has no events_per_sec",
-                c.name
-            );
-            return false;
-        };
-        compared += 1;
+        let ref_eps = committed
+            .iter()
+            .find_map(|(name, eps)| (*name == c.name).then_some(*eps))
+            .expect("cell sets match");
         events += c.events;
         secs += c.wall_secs;
         ref_secs += c.events as f64 / ref_eps;
@@ -245,45 +268,18 @@ pub fn check(cells: &[Cell], reference: &str, tolerance: f64) -> bool {
             );
         }
     }
-    if compared == 0 {
-        eprintln!("REGRESSION check: no cells to compare");
-        return false;
-    }
     let aggregate = events as f64 / secs.max(1e-9);
     let ref_aggregate = events as f64 / ref_secs.max(1e-9);
     let floor = ref_aggregate * (1.0 - tolerance);
     let ok = aggregate >= floor;
     eprintln!(
-        "checked {compared} cells: aggregate {aggregate:.0} events/s vs committed \
+        "checked {} cells: aggregate {aggregate:.0} events/s vs committed \
          {ref_aggregate:.0} (floor {floor:.0}, tolerance {:.0}%): {}",
+        cells.len(),
         tolerance * 100.0,
         if ok { "ok" } else { "REGRESSED" }
     );
     ok
-}
-
-/// Names of every cell in [`to_json`] output, in file order.
-fn reference_cell_names(json: &str) -> Vec<&str> {
-    let key = "\"name\": \"";
-    json.lines()
-        .filter_map(|l| {
-            let rest = &l[l.find(key)? + key.len()..];
-            Some(&rest[..rest.find('"')?])
-        })
-        .collect()
-}
-
-/// Extract `events_per_sec` for the named cell from [`to_json`] output.
-pub fn lookup_events_per_sec(json: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let key = "\"events_per_sec\": ";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -317,9 +313,15 @@ mod tests {
         assert!(json.contains("\"schema\": \"oracle-bench-throughput/v3\""));
         assert!(!json.contains("wall_secs_parallel"));
         assert!(json.contains("\"peak_rss_bytes\": 4096"));
-        assert_eq!(lookup_events_per_sec(&json, "a/b/c"), Some(10_000.0));
-        assert_eq!(lookup_events_per_sec(&json, "d/e/f"), Some(10_000.0));
-        assert_eq!(lookup_events_per_sec(&json, "missing"), None);
+        assert_eq!(
+            committed_cells(&json).unwrap(),
+            [
+                ("a/b/c".to_string(), 10_000.0),
+                ("d/e/f".to_string(), 10_000.0)
+            ]
+        );
+        assert!(committed_cells("{}").is_err());
+        assert!(committed_cells("not json").is_err());
     }
 
     #[test]
@@ -360,7 +362,6 @@ mod tests {
     #[test]
     fn check_fails_on_cell_set_mismatch() {
         let reference = to_json(&sample_cells(), 3, 1);
-        assert_eq!(reference_cell_names(&reference), ["a/b/c", "d/e/f"]);
 
         // A fresh cell the baseline lacks (renamed or added) fails even
         // though every shared cell is fast.
@@ -375,6 +376,19 @@ mod tests {
 
         // The identical set passes.
         assert!(check(&sample_cells(), &reference, 0.25));
+    }
+
+    #[test]
+    fn committed_baseline_covers_the_grid() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let json = std::fs::read_to_string(path).expect("BENCH_throughput.json is committed");
+        let names: Vec<String> = committed_cells(&json)
+            .expect("committed baseline parses")
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        let grid: Vec<String> = grid_specs().into_iter().map(|s| s.0).collect();
+        assert_eq!(names, grid);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use oracle_workloads::WorkloadSpec;
 
 use super::{paper_topologies, Fidelity};
 use crate::builder::{paper_strategies, SimulationBuilder};
+use crate::json::{self, Obj};
 use crate::runner::{run_batch, RunSpec};
 use crate::table::{f2, Table};
 
@@ -259,33 +260,21 @@ pub fn render(cells: &[Cell], fidelity: Fidelity) -> Table {
     table
 }
 
-/// Machine-readable dump of every cell (hand-rolled JSON; the involved
-/// strings are free of quotes and backslashes).
+/// Machine-readable dump of every cell, one JSON object per table row.
 pub fn to_json(cells: &[Cell]) -> String {
-    let mut out = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
+    json::array(cells.iter().map(|c| {
         let (p99, thr) = c
             .at_max
             .as_ref()
             .map_or((0, 0.0), |m| (m.sojourn_p99, m.throughput));
-        out.push_str(&format!(
-            concat!(
-                "  {{\"topology\": \"{}\", \"strategy\": \"{}\", ",
-                "\"max_rate\": {:.4}, \"p99_at_max\": {}, ",
-                "\"throughput_at_max\": {:.4}, \"probes\": {}}}{}\n"
-            ),
-            c.topology,
-            c.strategy,
-            c.max_rate,
-            p99,
-            thr,
-            c.probes.len(),
-            sep
-        ));
-    }
-    out.push(']');
-    out
+        Obj::new()
+            .str("topology", &c.topology.to_string())
+            .str("strategy", &c.strategy.to_string())
+            .float("max_rate", c.max_rate, 4)
+            .uint("p99_at_max", p99)
+            .float("throughput_at_max", thr, 4)
+            .uint("probes", c.probes.len() as u64)
+    }))
 }
 
 #[cfg(test)]
@@ -335,9 +324,12 @@ mod tests {
         let cells = run(Fidelity::Quick, 1);
         let table = render(&cells, Fidelity::Quick);
         assert_eq!(table.len(), 4);
-        let json = to_json(&cells);
-        assert_eq!(json.matches("\"max_rate\"").count(), cells.len());
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.ends_with(']'));
+        let json = crate::json::parse_json(&to_json(&cells)).expect("appendix parses");
+        let rows = json.as_array().expect("a top-level array");
+        assert_eq!(rows.len(), table.len(), "one object per table row");
+        for (row, c) in rows.iter().zip(&cells) {
+            assert_eq!(row.text("topology"), Ok(c.topology.to_string().as_str()));
+            assert!(row.num("max_rate").is_ok());
+        }
     }
 }

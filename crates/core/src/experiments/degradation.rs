@@ -29,6 +29,7 @@ use oracle_workloads::WorkloadSpec;
 
 use super::{paper_topologies, Fidelity};
 use crate::builder::{paper_strategies, SimulationBuilder};
+use crate::json::{self, Obj};
 use crate::runner::{run_batch, RunSpec};
 use crate::table::{f2, Table};
 
@@ -328,34 +329,21 @@ pub fn render(cells: &[Cell], fidelity: Fidelity) -> Table {
     table
 }
 
-/// Machine-readable dump of every cell (hand-rolled JSON; the involved
-/// strings are free of quotes and backslashes).
+/// Machine-readable dump of every cell, one JSON object per table row.
 pub fn to_json(cells: &[Cell]) -> String {
-    let mut out = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            concat!(
-                "  {{\"topology\": \"{}\", \"strategy\": \"{}\", \"faults\": \"{}\", ",
-                "\"goodput_baseline\": {:.4}, \"goodput_protected\": {:.4}, ",
-                "\"p99_in_deadline\": {}, \"shed_rate\": {:.4}, ",
-                "\"abandonment_rate\": {:.4}, \"retries\": {}, \"breaker_opens\": {}}}{}\n"
-            ),
-            c.topology,
-            c.strategy,
-            c.fault_name(),
-            c.baseline.goodput,
-            c.protected.goodput,
-            c.protected.sojourn_p99,
-            c.protected.shed_rate,
-            c.protected.abandonment_rate,
-            c.protected.retries,
-            c.protected.breaker_opens,
-            sep
-        ));
-    }
-    out.push(']');
-    out
+    json::array(cells.iter().map(|c| {
+        Obj::new()
+            .str("topology", &c.topology.to_string())
+            .str("strategy", &c.strategy.to_string())
+            .str("faults", c.fault_name())
+            .float("goodput_baseline", c.baseline.goodput, 4)
+            .float("goodput_protected", c.protected.goodput, 4)
+            .uint("p99_in_deadline", c.protected.sojourn_p99)
+            .float("shed_rate", c.protected.shed_rate, 4)
+            .float("abandonment_rate", c.protected.abandonment_rate, 4)
+            .uint("retries", c.protected.retries)
+            .uint("breaker_opens", c.protected.breaker_opens)
+    }))
 }
 
 #[cfg(test)]
@@ -416,9 +404,12 @@ mod tests {
         let cells = run(Fidelity::Quick, 1);
         let table = render(&cells, Fidelity::Quick);
         assert_eq!(table.len(), 12);
-        let json = to_json(&cells);
-        assert_eq!(json.matches("\"goodput_protected\"").count(), cells.len());
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.ends_with(']'));
+        let json = crate::json::parse_json(&to_json(&cells)).expect("appendix parses");
+        let rows = json.as_array().expect("a top-level array");
+        assert_eq!(rows.len(), table.len(), "one object per table row");
+        for (row, c) in rows.iter().zip(&cells) {
+            assert_eq!(row.text("faults"), Ok(c.fault_name()));
+            assert!(row.num("goodput_protected").is_ok());
+        }
     }
 }

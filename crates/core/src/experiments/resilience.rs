@@ -20,6 +20,7 @@ use oracle_workloads::WorkloadSpec;
 
 use super::{paper_topologies, Fidelity};
 use crate::builder::{paper_strategies, SimulationBuilder};
+use crate::json::{self, Obj};
 use crate::runner::{run_batch, RunSpec};
 use crate::table::{f2, Table};
 
@@ -224,10 +225,9 @@ pub fn render(cells: &[Cell]) -> Table {
     }
     let mut header: Vec<String> = vec!["configuration".into()];
     header.extend(scenario_order.iter().map(Scenario::label));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(
         "Makespan degradation under faults (crashes x loss%; recovery on)",
-        &header_refs,
+        &header,
     );
 
     let mut rows: Vec<(TopologySpec, StrategySpec)> = Vec::new();
@@ -258,49 +258,27 @@ pub fn render(cells: &[Cell]) -> Table {
     table
 }
 
-/// Machine-readable dump of every cell (the repo has no JSON dependency, so
-/// this is a small hand-rolled emitter; all strings involved are free of
-/// quotes and backslashes).
+/// Machine-readable dump of every cell, one JSON object per (row,
+/// scenario) cell of the table; a run that did not complete has a `null`
+/// degradation.
 pub fn to_json(cells: &[Cell]) -> String {
-    fn f(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "null".into()
-        }
-    }
-    let mut out = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        out.push_str(&format!(
-            concat!(
-                "  {{\"topology\": \"{}\", \"strategy\": \"{}\", ",
-                "\"crashes\": {}, \"loss_pct\": {}, \"completed\": {}, ",
-                "\"baseline_makespan\": {}, \"makespan\": {}, ",
-                "\"makespan_degradation\": {}, \"goals_lost\": {}, ",
-                "\"goals_respawned\": {}, \"messages_dropped\": {}, ",
-                "\"duplicate_responses\": {}, \"retries_exhausted\": {}, ",
-                "\"pes_crashed\": {}}}{}\n"
-            ),
-            c.topology,
-            c.strategy,
-            c.scenario.crashes,
-            c.scenario.loss_pct,
-            c.completed,
-            c.baseline_makespan,
-            c.makespan,
-            f(c.degradation()),
-            c.faults.goals_lost,
-            c.faults.goals_respawned,
-            c.faults.messages_dropped,
-            c.faults.duplicate_responses,
-            c.faults.retries_exhausted,
-            c.faults.pes_crashed,
-            sep
-        ));
-    }
-    out.push(']');
-    out
+    json::array(cells.iter().map(|c| {
+        Obj::new()
+            .str("topology", &c.topology.to_string())
+            .str("strategy", &c.strategy.to_string())
+            .uint("crashes", c.scenario.crashes)
+            .uint("loss_pct", c.scenario.loss_pct)
+            .bool("completed", c.completed)
+            .uint("baseline_makespan", c.baseline_makespan)
+            .uint("makespan", c.makespan)
+            .float("makespan_degradation", c.degradation(), 4)
+            .uint("goals_lost", c.faults.goals_lost)
+            .uint("goals_respawned", c.faults.goals_respawned)
+            .uint("messages_dropped", c.faults.messages_dropped)
+            .uint("duplicate_responses", c.faults.duplicate_responses)
+            .uint("retries_exhausted", c.faults.retries_exhausted)
+            .uint("pes_crashed", c.faults.pes_crashed)
+    }))
 }
 
 #[cfg(test)]
@@ -374,14 +352,15 @@ mod tests {
         let cells = run(Fidelity::Quick, 1);
         let table = render(&cells);
         assert_eq!(table.len(), 4, "one row per (topology, strategy)");
-        let json = to_json(&cells);
-        assert_eq!(
-            json.matches("\"makespan_degradation\"").count(),
-            cells.len()
-        );
-        assert!(json.contains("\"goals_lost\""));
-        assert!(json.starts_with('['), "{json}");
-        assert!(json.ends_with(']'));
+        let json = crate::json::parse_json(&to_json(&cells)).expect("appendix parses");
+        let objects = json.as_array().expect("a top-level array");
+        // One object per table cell: every row times every scenario column.
+        assert_eq!(objects.len(), cells.len());
+        assert_eq!(cells.len() % table.len(), 0);
+        for (object, c) in objects.iter().zip(&cells) {
+            assert_eq!(object.num("goals_lost"), Ok(c.faults.goals_lost as f64));
+            assert!(object.get("makespan_degradation").is_some());
+        }
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub fn render(cells: &[Cell]) -> Table {
             header.push(format!("{family}-{p}"));
         }
     }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new("Speedup of CWN over GM (paper Table 2)", &header_refs);
+    let mut table = Table::new("Speedup of CWN over GM (paper Table 2)", &header);
 
     let mut workloads: Vec<WorkloadSpec> = Vec::new();
     for c in cells {

@@ -59,11 +59,7 @@ pub fn render(d: &HopDistributions) -> Table {
         header.push(format!(">{}", width - 1));
     }
     header.push("Average".into());
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
-        "Distribution of message distances (paper Table 3)",
-        &header_refs,
-    );
+    let mut table = Table::new("Distribution of message distances (paper Table 3)", &header);
     for (name, r) in [("CWN", &d.cwn), ("GM", &d.gm)] {
         let mut row = vec![name.to_string()];
         for h in 0..width {

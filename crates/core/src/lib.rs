@@ -41,6 +41,8 @@
 //! * [`chart`] — ASCII line charts (the plot harnesses draw the paper's
 //!   figures in the terminal).
 //! * [`heatmap`] — the paper's red/blue load monitor as PPM images.
+//! * [`json`] — the one JSON writer and parser every export and baseline
+//!   goes through.
 //! * [`traceio`] — structured trace export (JSONL and Chrome
 //!   `trace_event`), format validators, and the utilization-series CSV.
 //! * [`prelude`] — one-stop imports.
@@ -51,6 +53,7 @@ pub mod chart;
 pub mod checkpoint;
 pub mod experiments;
 pub mod heatmap;
+pub mod json;
 pub mod runner;
 pub mod table;
 pub mod traceio;

@@ -1,4 +1,6 @@
-//! Minimal plain-text table rendering for the benchmark harnesses.
+//! Table rendering, aligned text or CSV: every table the project prints
+//! (experiments, `oracle-cli run`'s report, `batch`, `compare`,
+//! `topo-info`) is a [`Table`].
 
 use std::fmt;
 
@@ -14,10 +16,10 @@ pub struct Table {
 
 impl Table {
     /// A table with the given title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, header: &[impl AsRef<str>]) -> Self {
         Table {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -45,14 +47,20 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Render as CSV (header + rows, comma-separated, no quoting — cells in
-    /// this project never contain commas).
+    /// Render as CSV (RFC 4180): header + rows, comma-separated; a cell
+    /// holding a comma, a double quote or a line break is quoted, with its
+    /// quotes doubled (workload names such as `dc(1,4181)` hold commas).
     pub fn to_csv(&self) -> String {
+        let field = |cell: &String| {
+            if cell.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.clone()
+            }
+        };
         let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            out.push_str(&row.iter().map(field).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -125,6 +133,20 @@ mod tests {
         let mut t = Table::new("", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn csv_quotes_cells_with_separators() {
+        let mut t = Table::new("", &["metric", "value"]);
+        t.row(vec!["program".into(), "dc(1,4181)".into()]);
+        t.row(vec!["note".into(), "say \"hi\"".into()]);
+        t.row(vec!["lines".into(), "a\nb".into()]);
+        t.row(vec!["plain".into(), "fib(10)".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "metric,value\nprogram,\"dc(1,4181)\"\nnote,\"say \"\"hi\"\"\"\n\
+             lines,\"a\nb\"\nplain,fib(10)\n"
+        );
     }
 
     #[test]

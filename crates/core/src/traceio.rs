@@ -3,8 +3,8 @@
 //! ORACLE's "form and content of the output information" was a first-class
 //! input to the simulator; this module is the equivalent: it turns the
 //! bounded in-memory [`Trace`] of a run into files other tools can read.
-//! Two formats are produced, both hand-written (the workspace carries no
-//! JSON dependency):
+//! Two formats are produced, both through the shared [`crate::json`]
+//! writer:
 //!
 //! * **JSONL** (`oracle-trace-v1`): a header object on the first line —
 //!   run identity plus the `events_dropped` count, so a truncated trace can
@@ -15,14 +15,16 @@
 //!   flow events chained hop to hop, everything else as instants. Simulated
 //!   time units map 1:1 onto trace microseconds.
 //!
-//! The module also carries a minimal recursive-descent JSON parser and
-//! validators for both formats (used by the proptests and by
+//! The module also carries validators for both formats, reading them with
+//! [`crate::json::parse_json`] (used by the proptests and by
 //! `oracle-cli trace-check`, which CI runs against freshly exported files),
 //! and the machine-readable per-PE utilization-series CSV that reproduces
 //! the paper's load-monitor figure as data.
 
 use std::fmt::Write as _;
 
+use crate::json::{parse_json, Json, Obj};
+use crate::table::Table;
 use oracle_model::trace::TraceMode;
 use oracle_model::{Report, Trace, TraceEvent};
 
@@ -48,83 +50,12 @@ impl std::str::FromStr for TraceFormat {
     }
 }
 
-/// Escape `s` into a JSON string literal (without the quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// A tiny append-only JSON object writer.
-struct Obj {
-    buf: String,
-    first: bool,
-}
-
-impl Obj {
-    fn new() -> Self {
-        Obj {
-            buf: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, key);
-        self.buf.push_str("\":");
-    }
-
-    fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push('"');
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    fn num(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    fn int(mut self, key: &str, value: i64) -> Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push_str(value);
-        self
-    }
-
-    fn opt_num(self, key: &str, value: Option<u64>) -> Self {
-        match value {
-            Some(v) => self.num(key, v),
-            None => self.raw(key, "null"),
-        }
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+impl std::fmt::Display for TraceFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            TraceFormat::Jsonl => "jsonl",
+            TraceFormat::Chrome => "chrome",
+        })
     }
 }
 
@@ -161,16 +92,16 @@ fn trace_mode_name(mode: TraceMode) -> &'static str {
     }
 }
 
-/// One event as a JSONL line (no trailing newline).
-fn jsonl_event(e: &TraceEvent) -> String {
-    let o = Obj::new().str("kind", kind_name(e)).num("t", e.time());
+/// One event as a JSONL line object.
+fn jsonl_event(e: &TraceEvent) -> Obj {
+    let o = Obj::new().str("kind", kind_name(e)).uint("t", e.time());
     match *e {
         TraceEvent::GoalCreated {
             goal, pe, parent, ..
         } => o
-            .num("goal", goal.0)
-            .num("pe", pe.0 as u64)
-            .opt_num("parent", parent.map(|p| p.0)),
+            .uint("goal", goal.0)
+            .uint("pe", pe.0)
+            .opt_uint("parent", parent.map(|p| p.0)),
         TraceEvent::GoalForwarded {
             goal,
             from,
@@ -178,16 +109,15 @@ fn jsonl_event(e: &TraceEvent) -> String {
             hops,
             ..
         } => o
-            .num("goal", goal.0)
-            .num("from", from.0 as u64)
-            .num("to", to.0 as u64)
-            .num("hops", hops as u64),
-        TraceEvent::GoalAccepted { goal, pe, hops, .. } => o
-            .num("goal", goal.0)
-            .num("pe", pe.0 as u64)
-            .num("hops", hops as u64),
+            .uint("goal", goal.0)
+            .uint("from", from.0)
+            .uint("to", to.0)
+            .uint("hops", hops),
+        TraceEvent::GoalAccepted { goal, pe, hops, .. } => {
+            o.uint("goal", goal.0).uint("pe", pe.0).uint("hops", hops)
+        }
         TraceEvent::GoalStarted { goal, pe, .. } | TraceEvent::GoalFinished { goal, pe, .. } => {
-            o.num("goal", goal.0).num("pe", pe.0 as u64)
+            o.uint("goal", goal.0).uint("pe", pe.0)
         }
         TraceEvent::Responded {
             from_pe,
@@ -195,22 +125,21 @@ fn jsonl_event(e: &TraceEvent) -> String {
             value,
             ..
         } => o
-            .num("from_pe", from_pe.0 as u64)
-            .opt_num("parent_pe", parent_pe.map(|p| p.0 as u64))
+            .uint("from_pe", from_pe.0)
+            .opt_uint("parent_pe", parent_pe.map(|p| p.0 as u64))
             .int("value", value),
-        TraceEvent::ControlSent { from, to, tag, .. } => o
-            .num("from", from.0 as u64)
-            .num("to", to.0 as u64)
-            .num("tag", tag as u64),
-        TraceEvent::TimerFired { pe, tag, .. } => o.num("pe", pe.0 as u64).num("tag", tag),
+        TraceEvent::ControlSent { from, to, tag, .. } => {
+            o.uint("from", from.0).uint("to", to.0).uint("tag", tag)
+        }
+        TraceEvent::TimerFired { pe, tag, .. } => o.uint("pe", pe.0).uint("tag", tag),
         TraceEvent::RootCompleted { result, .. } => o.int("result", result),
         TraceEvent::PeCrashed { pe, goals_lost, .. } => {
-            o.num("pe", pe.0 as u64).num("goals_lost", goals_lost)
+            o.uint("pe", pe.0).uint("goals_lost", goals_lost)
         }
-        TraceEvent::GoalLost { goal, pe, .. } => o.num("goal", goal.0).num("pe", pe.0 as u64),
+        TraceEvent::GoalLost { goal, pe, .. } => o.uint("goal", goal.0).uint("pe", pe.0),
         TraceEvent::MessageDropped { channel, .. }
         | TraceEvent::LinkDown { channel, .. }
-        | TraceEvent::LinkUp { channel, .. } => o.num("channel", channel as u64),
+        | TraceEvent::LinkUp { channel, .. } => o.uint("channel", channel),
         TraceEvent::GoalRespawned {
             old,
             new,
@@ -218,21 +147,19 @@ fn jsonl_event(e: &TraceEvent) -> String {
             attempt,
             ..
         } => o
-            .num("old", old.0)
-            .num("new", new.0)
-            .num("pe", pe.0 as u64)
-            .num("attempt", attempt as u64),
-        TraceEvent::DuplicateResponse { goal, pe, .. } => {
-            o.num("goal", goal.0).num("pe", pe.0 as u64)
-        }
-        TraceEvent::PeSlowed { pe, factor, .. } => o.num("pe", pe.0 as u64).num("factor", factor),
-        TraceEvent::PeRestored { pe, .. } => o.num("pe", pe.0 as u64),
+            .uint("old", old.0)
+            .uint("new", new.0)
+            .uint("pe", pe.0)
+            .uint("attempt", attempt),
+        TraceEvent::DuplicateResponse { goal, pe, .. } => o.uint("goal", goal.0).uint("pe", pe.0),
+        TraceEvent::PeSlowed { pe, factor, .. } => o.uint("pe", pe.0).uint("factor", factor),
+        TraceEvent::PeRestored { pe, .. } => o.uint("pe", pe.0),
         TraceEvent::RequestArrived {
             request, goal, pe, ..
         } => o
-            .num("request", request)
-            .num("goal", goal.0)
-            .num("pe", pe.0 as u64),
+            .uint("request", request)
+            .uint("goal", goal.0)
+            .uint("pe", pe.0),
         TraceEvent::RequestCompleted {
             request,
             goal,
@@ -240,59 +167,59 @@ fn jsonl_event(e: &TraceEvent) -> String {
             sojourn,
             ..
         } => o
-            .num("request", request)
-            .num("goal", goal.0)
-            .num("pe", pe.0 as u64)
-            .num("sojourn", sojourn),
+            .uint("request", request)
+            .uint("goal", goal.0)
+            .uint("pe", pe.0)
+            .uint("sojourn", sojourn),
     }
-    .finish()
 }
 
-/// The JSONL header line for `trace` of the run described by `report`.
-fn jsonl_header(trace: &Trace, report: &Report) -> String {
+/// The run-identity header: the JSONL export's first line and the Chrome
+/// export's `otherData`.
+fn run_header(trace: &Trace, report: &Report) -> Obj {
     Obj::new()
         .str("schema", "oracle-trace-v1")
         .str("strategy", &report.strategy)
         .str("topology", &report.topology)
         .str("program", &report.program)
-        .num("num_pes", report.num_pes as u64)
-        .num("seed", report.seed)
-        .num("completion_time", report.completion_time)
-        .num("events_recorded", trace.len() as u64)
-        .num("events_dropped", trace.dropped())
+        .uint("num_pes", report.num_pes as u64)
+        .uint("seed", report.seed)
+        .uint("completion_time", report.completion_time)
+        .uint("events_recorded", trace.len() as u64)
+        .uint("events_dropped", trace.dropped())
         .str("trace_mode", trace_mode_name(trace.mode()))
-        .finish()
 }
 
 /// Export `trace` as JSONL: one header object line, then one object per
 /// event in chronological order.
 pub fn export_jsonl(trace: &Trace, report: &Report) -> String {
     let mut out = String::new();
-    out.push_str(&jsonl_header(trace, report));
-    out.push('\n');
+    let _ = writeln!(out, "{}", run_header(trace, report));
     for e in trace.iter() {
-        out.push_str(&jsonl_event(e));
-        out.push('\n');
+        let _ = writeln!(out, "{}", jsonl_event(e));
     }
     out
 }
 
-/// Track id of the synthetic "network" track (channel and run-level
-/// events, which belong to no PE).
-fn network_tid(num_pes: usize) -> u64 {
-    num_pes as u64
-}
-
-/// Start one Chrome event object; the caller adds format-specific fields
-/// and pushes the finished string.
+/// Start one Chrome event object; the caller adds format-specific fields.
 fn chrome_event(ph: &str, name: &str, tid: u64, ts: u64) -> Obj {
     Obj::new()
         .str("ph", ph)
         .str("name", name)
         .str("cat", "oracle")
-        .num("pid", 0)
-        .num("tid", tid)
-        .num("ts", ts)
+        .uint("pid", 0u64)
+        .uint("tid", tid)
+        .uint("ts", ts)
+}
+
+/// A Chrome `M` metadata event naming the process or one track.
+fn chrome_meta(name: &str, tid: u64, label: &str) -> Obj {
+    Obj::new()
+        .str("ph", "M")
+        .str("name", name)
+        .uint("pid", 0u64)
+        .uint("tid", tid)
+        .obj("args", Obj::new().str("name", label))
 }
 
 /// Export `trace` as Chrome `trace_event` JSON (the "JSON Object Format":
@@ -304,54 +231,20 @@ fn chrome_event(ph: &str, name: &str, tid: u64, ts: u64) -> Obj {
 /// Perfetto draws the goal's journey as arrows between PE tracks; other
 /// events are thread-scoped instants. `ts` is the simulated time.
 pub fn export_chrome(trace: &Trace, report: &Report) -> String {
-    let mut events: Vec<String> = Vec::new();
-
     // Metadata: name the process and one track per PE (plus the network
     // track). `M` events are unordered; the validator skips them.
-    events.push(
-        Obj::new()
-            .str("ph", "M")
-            .str("name", "process_name")
-            .num("pid", 0)
-            .num("tid", 0)
-            .raw(
-                "args",
-                &Obj::new()
-                    .str(
-                        "name",
-                        &format!(
-                            "oracle {} on {} ({})",
-                            report.strategy, report.topology, report.program
-                        ),
-                    )
-                    .finish(),
-            )
-            .finish(),
+    let process = format!(
+        "oracle {} on {} ({})",
+        report.strategy, report.topology, report.program
     );
+    let mut events = vec![chrome_meta("process_name", 0, &process)];
     for pe in 0..report.num_pes {
-        events.push(
-            Obj::new()
-                .str("ph", "M")
-                .str("name", "thread_name")
-                .num("pid", 0)
-                .num("tid", pe as u64)
-                .raw(
-                    "args",
-                    &Obj::new().str("name", &format!("PE {pe}")).finish(),
-                )
-                .finish(),
-        );
+        events.push(chrome_meta("thread_name", pe as u64, &format!("PE {pe}")));
     }
-    let net = network_tid(report.num_pes);
-    events.push(
-        Obj::new()
-            .str("ph", "M")
-            .str("name", "thread_name")
-            .num("pid", 0)
-            .num("tid", net)
-            .raw("args", &Obj::new().str("name", "network").finish())
-            .finish(),
-    );
+    // The synthetic "network" track holds channel and run-level events,
+    // which belong to no PE.
+    let net = report.num_pes as u64;
+    events.push(chrome_meta("thread_name", net, "network"));
 
     // Flow chaining: the hop index of the last `s` emitted per goal, so the
     // next hop (or the acceptance) closes it with an `f`. With a truncated
@@ -363,38 +256,44 @@ pub fn export_chrome(trace: &Trace, report: &Report) -> String {
     for e in trace.iter() {
         let t = e.time();
         match *e {
-            TraceEvent::GoalStarted { goal, pe, .. } => {
-                let o = chrome_event("B", &format!("goal {}", goal.0), pe.0 as u64, t)
-                    .raw("args", &Obj::new().num("goal", goal.0).finish());
-                events.push(o.finish());
-            }
+            TraceEvent::GoalStarted { goal, pe, .. } => events.push(
+                chrome_event("B", &format!("goal {}", goal.0), pe.0 as u64, t)
+                    .obj("args", Obj::new().uint("goal", goal.0)),
+            ),
             TraceEvent::GoalFinished { goal, pe, .. } => {
-                let o = chrome_event("E", &format!("goal {}", goal.0), pe.0 as u64, t);
-                events.push(o.finish());
+                events.push(chrome_event(
+                    "E",
+                    &format!("goal {}", goal.0),
+                    pe.0 as u64,
+                    t,
+                ));
             }
             TraceEvent::GoalForwarded {
                 goal, from, hops, ..
             } => {
                 if let Some(prev) = open_flow.insert(goal.0, hops) {
-                    let o = chrome_event("f", "hop", from.0 as u64, t)
-                        .str("id", &flow_id(goal.0, prev))
-                        .str("bp", "e");
-                    events.push(o.finish());
+                    events.push(
+                        chrome_event("f", "hop", from.0 as u64, t)
+                            .str("id", &flow_id(goal.0, prev))
+                            .str("bp", "e"),
+                    );
                 }
-                let o =
-                    chrome_event("s", "hop", from.0 as u64, t).str("id", &flow_id(goal.0, hops));
-                events.push(o.finish());
+                events.push(
+                    chrome_event("s", "hop", from.0 as u64, t).str("id", &flow_id(goal.0, hops)),
+                );
             }
             TraceEvent::GoalAccepted { goal, pe, .. } => {
                 if let Some(prev) = open_flow.remove(&goal.0) {
-                    let o = chrome_event("f", "hop", pe.0 as u64, t)
-                        .str("id", &flow_id(goal.0, prev))
-                        .str("bp", "e");
-                    events.push(o.finish());
+                    events.push(
+                        chrome_event("f", "hop", pe.0 as u64, t)
+                            .str("id", &flow_id(goal.0, prev))
+                            .str("bp", "e"),
+                    );
                 }
-                let o = chrome_event("i", &format!("accept goal {}", goal.0), pe.0 as u64, t)
-                    .str("s", "t");
-                events.push(o.finish());
+                events.push(
+                    chrome_event("i", &format!("accept goal {}", goal.0), pe.0 as u64, t)
+                        .str("s", "t"),
+                );
             }
             _ => {
                 // Everything else is a thread-scoped instant on the most
@@ -414,38 +313,16 @@ pub fn export_chrome(trace: &Trace, report: &Report) -> String {
                     TraceEvent::ControlSent { from, .. } => from.0 as u64,
                     _ => net,
                 };
-                let name = kind_name(e);
-                let o = chrome_event("i", name, tid, t).str("s", "t");
-                events.push(o.finish());
+                events.push(chrome_event("i", kind_name(e), tid, t).str("s", "t"));
             }
         }
     }
 
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(e);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":");
-    out.push_str(
-        &Obj::new()
-            .str("schema", "oracle-trace-v1")
-            .str("strategy", &report.strategy)
-            .str("topology", &report.topology)
-            .str("program", &report.program)
-            .num("num_pes", report.num_pes as u64)
-            .num("seed", report.seed)
-            .num("completion_time", report.completion_time)
-            .num("events_recorded", trace.len() as u64)
-            .num("events_dropped", trace.dropped())
-            .str("trace_mode", trace_mode_name(trace.mode()))
-            .finish(),
-    );
-    out.push('}');
-    out
+    let doc = Obj::new()
+        .arr("traceEvents", events)
+        .str("displayTimeUnit", "ms")
+        .obj("otherData", run_header(trace, report));
+    format!("{doc}\n")
 }
 
 /// Export a trace in the chosen format.
@@ -463,297 +340,25 @@ pub fn export_trace(trace: &Trace, report: &Report, format: TraceFormat) -> Stri
 /// series; a PE whose (independently coarsened) series is shorter than the
 /// run pads with 0 (idle), matching the heatmap renderer.
 pub fn export_series_csv(report: &Report) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# oracle-series-v1");
-    let _ = writeln!(
-        out,
-        "# strategy={} topology={} program={} seed={}",
-        report.strategy, report.topology, report.program, report.seed
-    );
-    out.push_str("interval_start,avg");
     let pes = report.per_pe_series.as_ref().map_or(0, Vec::len);
-    for pe in 0..pes {
-        let _ = write!(out, ",pe{pe}");
-    }
-    out.push('\n');
+    let mut header = vec!["interval_start".to_string(), "avg".to_string()];
+    header.extend((0..pes).map(|pe| format!("pe{pe}")));
+    let mut table = Table::new("", &header);
     for (i, &(t0, avg)) in report.util_series.iter().enumerate() {
-        let _ = write!(out, "{t0},{avg:.6}");
-        if let Some(series) = &report.per_pe_series {
-            for row in series {
-                let u = row.get(i).copied().unwrap_or(0.0);
-                let _ = write!(out, ",{u:.6}");
-            }
+        let mut row = vec![t0.to_string(), format!("{avg:.6}")];
+        for series in report.per_pe_series.iter().flatten() {
+            row.push(format!("{:.6}", series.get(i).copied().unwrap_or(0.0)));
         }
-        out.push('\n');
+        table.row(row);
     }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Minimal JSON parser + format validators.
-// ----------------------------------------------------------------------
-
-/// A parsed JSON value (objects keep insertion order; numbers are `f64`,
-/// which is exact for every integer this trace format emits).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one complete JSON document. Strict: trailing garbage, trailing
-/// commas, unquoted keys, and nesting beyond 128 levels are errors.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > 128 {
-            return Err("nesting too deep".into());
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(other) => Err(format!(
-                "unexpected '{}' at byte {}",
-                other as char, self.pos
-            )),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let from = p.pos;
-            while matches!(p.peek(), Some(b'0'..=b'9')) {
-                p.pos += 1;
-            }
-            p.pos > from
-        };
-        if !digits(self) {
-            return Err(format!("bad number at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(format!("bad fraction at byte {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(format!("bad exponent at byte {start}"));
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogates are not emitted by our exporter;
-                            // map them to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control byte in string at {}", self.pos))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
+    format!(
+        "# oracle-series-v1\n# strategy={} topology={} program={} seed={}\n{}",
+        report.strategy,
+        report.topology,
+        report.program,
+        report.seed,
+        table.to_csv()
+    )
 }
 
 /// What a validated trace file contained.
@@ -777,31 +382,22 @@ pub fn validate_jsonl(text: &str) -> Result<TraceSummary, String> {
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header_line) = lines.next().ok_or("empty trace file")?;
     let header = parse_json(header_line).map_err(|e| format!("header: {e}"))?;
-    match header.get("schema").and_then(Json::as_str) {
-        Some("oracle-trace-v1") => {}
+    let field = |key| header.num(key).map_err(|e| format!("header: {e}"));
+    match header.text("schema") {
+        Ok("oracle-trace-v1") => {}
         other => return Err(format!("bad schema {other:?}")),
     }
-    let dropped = header
-        .get("events_dropped")
-        .and_then(Json::as_f64)
-        .ok_or("header missing events_dropped")? as u64;
-    let recorded = header
-        .get("events_recorded")
-        .and_then(Json::as_f64)
-        .ok_or("header missing events_recorded")? as u64;
+    let dropped = field("events_dropped")? as u64;
+    let recorded = field("events_recorded")? as u64;
     let mut events = 0usize;
     let mut last_t = f64::NEG_INFINITY;
     for (i, line) in lines {
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        v.get("kind")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {}: missing kind", i + 1))?;
-        let t = v
-            .get("t")
-            .and_then(Json::as_f64)
-            .ok_or(format!("line {}: missing t", i + 1))?;
+        let at_line = |e: String| format!("line {}: {e}", i + 1);
+        let v = parse_json(line).map_err(at_line)?;
+        v.text("kind").map_err(at_line)?;
+        let t = v.num("t").map_err(at_line)?;
         if t < last_t {
-            return Err(format!("line {}: time went backwards", i + 1));
+            return Err(at_line("time went backwards".into()));
         }
         last_t = t;
         events += 1;
@@ -831,30 +427,20 @@ pub fn validate_chrome(text: &str) -> Result<TraceSummary, String> {
         .ok_or("missing traceEvents array")?;
     let dropped = doc
         .get("otherData")
-        .and_then(|o| o.get("events_dropped"))
-        .and_then(Json::as_f64)
-        .ok_or("otherData missing events_dropped")? as u64;
+        .ok_or("missing otherData")?
+        .num("events_dropped")
+        .map_err(|e| format!("otherData: {e}"))? as u64;
     let mut last_ts: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
     let mut payload = 0usize;
     for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or(format!("event {i}: missing ph"))?;
-        e.get("pid")
-            .and_then(Json::as_f64)
-            .ok_or(format!("event {i}: missing pid"))?;
-        let tid = e
-            .get("tid")
-            .and_then(Json::as_f64)
-            .ok_or(format!("event {i}: missing tid"))? as u64;
+        let at_event = |err: String| format!("event {i}: {err}");
+        let ph = e.text("ph").map_err(at_event)?;
+        e.num("pid").map_err(at_event)?;
+        let tid = e.num("tid").map_err(at_event)? as u64;
         if ph == "M" {
             continue; // metadata events are unordered
         }
-        let ts = e
-            .get("ts")
-            .and_then(Json::as_f64)
-            .ok_or(format!("event {i}: missing ts"))?;
+        let ts = e.num("ts").map_err(at_event)?;
         let last = last_ts.entry(tid).or_insert(f64::NEG_INFINITY);
         if ts < *last {
             return Err(format!(
@@ -879,14 +465,12 @@ pub fn validate_trace(text: &str, format: TraceFormat) -> Result<TraceSummary, S
     }
 }
 
-/// Sniff the format of an exported trace file: Chrome exports are a single
-/// JSON object starting with `{"traceEvents"`, JSONL starts with the
-/// header object.
+/// Sniff the format of an exported trace file: a Chrome export is one JSON
+/// object holding `traceEvents`; anything else is read as JSONL.
 pub fn sniff_format(text: &str) -> TraceFormat {
-    if text.trim_start().starts_with("{\"traceEvents\"") {
-        TraceFormat::Chrome
-    } else {
-        TraceFormat::Jsonl
+    match parse_json(text) {
+        Ok(doc) if doc.get("traceEvents").is_some() => TraceFormat::Chrome,
+        _ => TraceFormat::Jsonl,
     }
 }
 
@@ -931,10 +515,7 @@ mod tests {
         assert_eq!(summary.events, 20);
         assert_eq!(summary.dropped, trace.dropped());
         let header = parse_json(text.lines().next().unwrap()).unwrap();
-        assert_eq!(
-            header.get("events_dropped").and_then(Json::as_f64),
-            Some(trace.dropped() as f64)
-        );
+        assert_eq!(header.num("events_dropped"), Ok(trace.dropped() as f64));
     }
 
     #[test]
@@ -1021,34 +602,6 @@ mod tests {
                 let u: f64 = cell.parse().unwrap();
                 assert!((0.0..=1.0).contains(&u), "cell {u}");
             }
-        }
-    }
-
-    #[test]
-    fn parser_accepts_the_usual_shapes() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\ny","c":true,"d":null}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2],
-            Json::Num(-300.0)
-        );
-        assert_eq!(v.get("b").and_then(Json::as_str), Some("x\ny"));
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\":1}x",
-            "\"unterminated",
-            "nul",
-            "01a",
-        ] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
     }
 

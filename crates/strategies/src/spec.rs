@@ -138,6 +138,32 @@ impl StrategySpec {
         }
     }
 
+    /// The builder precondition this spec violates, if any.
+    fn violated_precondition(&self) -> Option<&'static str> {
+        use StrategySpec::*;
+        let why = match *self {
+            Gradient {
+                low_water_mark,
+                high_water_mark,
+                interval,
+            } if low_water_mark > high_water_mark || interval == 0 => {
+                "needs LWM <= HWM and a positive interval"
+            }
+            Diffusion {
+                interval,
+                threshold,
+                ..
+            } if interval == 0 || threshold == 0 => "needs a positive interval and threshold",
+            ThresholdProbe {
+                threshold,
+                probe_limit,
+            } if threshold == 0 || probe_limit == 0 => "needs a positive threshold and probe limit",
+            WorkStealing { retry_delay: 0 } => "the retry delay must be positive",
+            _ => return None,
+        };
+        Some(why)
+    }
+
     /// Fold strategy-specific machine-configuration requirements into
     /// `cfg` (Adaptive CWN turns on the future-commitments load metric).
     pub fn apply_config(&self, cfg: &mut MachineConfig) {
@@ -201,6 +227,7 @@ impl FromStr for StrategySpec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseStrategyError(s.to_string());
+        let small = |v: &u64| u32::try_from(*v).map_err(|_| err());
         let (kind, args) = match s.split_once(':') {
             Some((k, a)) => (k, a),
             None => (s, ""),
@@ -212,31 +239,31 @@ impl FromStr for StrategySpec {
                 .map(|p| p.parse().map_err(|_| err()))
                 .collect::<Result<_, _>>()?
         };
-        match (kind, nums.as_slice()) {
+        let spec = match (kind, nums.as_slice()) {
             ("cwn", [r, h]) => Ok(StrategySpec::Cwn {
-                radius: *r as u32,
-                horizon: *h as u32,
+                radius: small(r)?,
+                horizon: small(h)?,
             }),
             ("gm" | "gradient", [l, h, i]) => Ok(StrategySpec::Gradient {
-                low_water_mark: *l as u32,
-                high_water_mark: *h as u32,
+                low_water_mark: small(l)?,
+                high_water_mark: small(h)?,
                 interval: *i,
             }),
             ("acwn", [r, h, s, redist]) => Ok(StrategySpec::AdaptiveCwn {
-                radius: *r as u32,
-                horizon: *h as u32,
-                saturation: *s as u32,
+                radius: small(r)?,
+                horizon: small(h)?,
+                saturation: small(s)?,
                 redistribute: *redist != 0,
             }),
             ("local", []) => Ok(StrategySpec::Local),
-            ("random", [hops]) => Ok(StrategySpec::RandomWalk { hops: *hops as u32 }),
+            ("random", [hops]) => Ok(StrategySpec::RandomWalk { hops: small(hops)? }),
             ("rr" | "round-robin", []) => Ok(StrategySpec::RoundRobin),
             ("steal", [d]) => Ok(StrategySpec::WorkStealing { retry_delay: *d }),
             ("steal", []) => Ok(StrategySpec::WorkStealing { retry_delay: 40 }),
             ("diffusion", [i, t, m]) => Ok(StrategySpec::Diffusion {
                 interval: *i,
-                threshold: *t as u32,
-                max_per_cycle: *m as u32,
+                threshold: small(t)?,
+                max_per_cycle: small(m)?,
             }),
             ("diffusion", []) => Ok(StrategySpec::Diffusion {
                 interval: 20,
@@ -245,14 +272,20 @@ impl FromStr for StrategySpec {
             }),
             ("global", []) => Ok(StrategySpec::GlobalRandom),
             ("threshold", [t, k]) => Ok(StrategySpec::ThresholdProbe {
-                threshold: *t as u32,
-                probe_limit: *k as u32,
+                threshold: small(t)?,
+                probe_limit: small(k)?,
             }),
             ("threshold", []) => Ok(StrategySpec::ThresholdProbe {
                 threshold: 2,
                 probe_limit: 3,
             }),
             _ => Err(err()),
+        }?;
+        // The builders' preconditions are checked here so a CLI user sees
+        // the offending token, not a downstream panic.
+        match spec.violated_precondition() {
+            Some(why) => Err(ParseStrategyError(format!("{s} ({why})"))),
+            None => Ok(spec),
         }
     }
 }
@@ -365,6 +398,21 @@ mod tests {
     fn parse_rejects_nonsense() {
         for bad in ["", "cwn", "cwn:1", "gm:1x2", "wat:3", "steal:x"] {
             assert!(bad.parse::<StrategySpec>().is_err(), "{bad:?} parsed");
+        }
+        // Well-formed but unbuildable: each names the token, never panics
+        // in `build`.
+        for bad in [
+            "gm:0x0x0",
+            "gm:3x2x20",
+            "diffusion:0x2x2",
+            "diffusion:20x0x2",
+            "steal:0",
+            "threshold:0x3",
+            "threshold:2x0",
+            "cwn:4294967296x1",
+        ] {
+            let err = bad.parse::<StrategySpec>().unwrap_err();
+            assert!(err.0.starts_with(bad), "{bad:?}: {err}");
         }
     }
 }

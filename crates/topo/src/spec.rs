@@ -131,6 +131,35 @@ impl TopologySpec {
         }
     }
 
+    /// The builder precondition this spec violates, if any (checked after
+    /// [`TopologySpec::try_num_pes`], so `pes` is exact).
+    fn violated_precondition(&self, pes: usize) -> Option<&'static str> {
+        use TopologySpec::*;
+        let why = match *self {
+            Mesh2D { .. } if pes < 2 => "a mesh needs at least two PEs",
+            DoubleLatticeMesh {
+                span,
+                width,
+                height,
+            } if span < 2 || span > width.min(height) => {
+                "the bus span must be in 2..=min(width, height)"
+            }
+            Hypercube { dim } if !(1..=24).contains(&dim) => "the dimension must be in 1..=24",
+            Ring { n } | Complete { n } | Star { n } | SingleBus { n } if n < 2 => {
+                "needs at least two PEs"
+            }
+            KAryNCube { k, n } if k < 2 || n < 1 => "needs radix >= 2 and dimension >= 1",
+            Tree { arity, depth } if arity < 2 || depth < 1 || pes > 65_536 => {
+                "needs arity >= 2, depth >= 1 and at most 65536 PEs"
+            }
+            Random { nodes, degree } if nodes < 3 || degree < 2 => {
+                "needs at least 3 PEs and degree >= 2"
+            }
+            _ => return None,
+        };
+        Some(why)
+    }
+
     /// Number of PEs this spec will produce.
     ///
     /// # Panics
@@ -213,6 +242,7 @@ impl FromStr for TopologySpec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseSpecError(s.to_string());
+        let small = |v: usize| u32::try_from(v).map_err(|_| err());
         let (kind, args) = s.split_once(':').ok_or_else(err)?;
         let nums: Vec<usize> = args
             .split('x')
@@ -241,18 +271,18 @@ impl FromStr for TopologySpec {
                 height: *h,
             },
             ("dlm", [side]) => TopologySpec::dlm(*side),
-            ("hypercube", [dim]) => TopologySpec::Hypercube { dim: *dim as u32 },
+            ("hypercube", [dim]) => TopologySpec::Hypercube { dim: small(*dim)? },
             ("ring", [n]) => TopologySpec::Ring { n: *n },
             ("complete", [n]) => TopologySpec::Complete { n: *n },
             ("star", [n]) => TopologySpec::Star { n: *n },
             ("bus", [n]) => TopologySpec::SingleBus { n: *n },
             ("kary", [k, n]) => TopologySpec::KAryNCube {
                 k: *k,
-                n: *n as u32,
+                n: small(*n)?,
             },
             ("tree", [arity, depth]) => TopologySpec::Tree {
                 arity: *arity,
-                depth: *depth as u32,
+                depth: small(*depth)?,
             },
             ("rand", [nodes, degree]) => TopologySpec::Random {
                 nodes: u32::try_from(*nodes)
@@ -262,10 +292,14 @@ impl FromStr for TopologySpec {
             },
             _ => return Err(err()),
         };
-        // Size arithmetic is checked at parse time so a CLI user sees the
-        // offending token, not a downstream panic.
-        spec.try_num_pes().map_err(ParseSpecError)?;
-        Ok(spec)
+        // Size arithmetic and the builders' preconditions are checked at
+        // parse time so a CLI user sees the offending token, not a
+        // downstream panic.
+        let pes = spec.try_num_pes().map_err(ParseSpecError)?;
+        match spec.violated_precondition(pes) {
+            Some(why) => Err(ParseSpecError(format!("{s} ({why})"))),
+            None => Ok(spec),
+        }
     }
 }
 
@@ -384,6 +418,60 @@ mod tests {
         for bad in ["", "grid", "grid:", "grid:axb", "blah:3", "hypercube:1x2"] {
             assert!(bad.parse::<TopologySpec>().is_err(), "{bad:?} parsed");
         }
+        // Well-formed but unbuildable: each names the token, never panics
+        // in `build`.
+        for bad in [
+            "grid:0",
+            "grid:1",
+            "grid:0x5",
+            "torus:1",
+            "dlm:1",
+            "dlm:1x4x4",
+            "dlm:5x4x4",
+            "hypercube:0",
+            "hypercube:25",
+            "hypercube:4294967297",
+            "ring:1",
+            "star:1",
+            "complete:1",
+            "bus:1",
+            "kary:1x2",
+            "kary:3x0",
+            "tree:0x2",
+            "tree:2x0",
+            "tree:2x16",
+            "rand:10x0",
+            "rand:2x2",
+        ] {
+            let err = bad.parse::<TopologySpec>().unwrap_err();
+            assert!(err.0.starts_with(bad), "{bad:?}: {err}");
+        }
+    }
+
+    /// The parser's preconditions match the builders' asserts: every small
+    /// spec it accepts builds.
+    #[test]
+    fn every_accepted_small_spec_builds() {
+        let mut texts = Vec::new();
+        for a in 0..6 {
+            for b in 0..6 {
+                for kind in ["grid", "torus", "kary", "tree", "rand"] {
+                    texts.push(format!("{kind}:{a}x{b}"));
+                }
+                texts.extend((0..6).map(|c| format!("dlm:{a}x{b}x{c}")));
+            }
+            for kind in ["hypercube", "ring", "complete", "star", "bus"] {
+                texts.push(format!("{kind}:{a}"));
+            }
+        }
+        let mut built = 0;
+        for text in texts {
+            if let Ok(spec) = text.parse::<TopologySpec>() {
+                assert_eq!(spec.build().num_pes(), spec.num_pes(), "{text}");
+                built += 1;
+            }
+        }
+        assert!(built > 100, "only {built} specs accepted");
     }
 
     /// Regression for the unchecked dimension multiply: an overflowing spec

@@ -79,6 +79,38 @@ impl WorkloadSpec {
         }
     }
 
+    /// The builder precondition this spec violates, if any.
+    fn violated_precondition(&self) -> Option<&'static str> {
+        use WorkloadSpec::*;
+        let why = match *self {
+            Fibonacci { n } if !(0..=90).contains(&n) => "fib N must be in 0..=90",
+            DivideConquer { m, n } if m > n => "dc needs M <= N",
+            Lopsided { budget, skew_pct } if budget < 1 || !(1..=99).contains(&skew_pct) => {
+                "needs budget >= 1 and skew in 1..=99"
+            }
+            RandomTree {
+                budget,
+                max_children,
+                grain_spread,
+                ..
+            } if budget < 1 || max_children < 2 || grain_spread < 1 => {
+                "needs budget >= 1, children >= 2 and spread >= 1"
+            }
+            Cyclic {
+                phases,
+                width,
+                leaves,
+            } if phases < 1 || width < 1 || leaves < 1 => {
+                "phases, width and leaves must each be at least 1"
+            }
+            Tak { x, y, z } if [x, y, z].iter().any(|v| !(-64..=64).contains(v)) => {
+                "tak arguments must be in -64..=64"
+            }
+            _ => return None,
+        };
+        Some(why)
+    }
+
     /// Total goals this workload will generate.
     pub fn num_goals(&self) -> u64 {
         self.build()
@@ -150,7 +182,8 @@ impl FromStr for WorkloadSpec {
                 nums.len()
             ))
         };
-        match (kind, nums.as_slice()) {
+        let range = |v: &i64| err(format!("{v} in {s:?} is out of range"));
+        let spec = match (kind, nums.as_slice()) {
             ("fib", [n]) => Ok(WorkloadSpec::fib(*n)),
             ("dc", [x]) => Ok(WorkloadSpec::dc(*x)),
             ("dc", [m, n]) => Ok(WorkloadSpec::DivideConquer { m: *m, n: *n }),
@@ -160,13 +193,13 @@ impl FromStr for WorkloadSpec {
             }),
             ("random", [budget, mc, gs, seed]) => Ok(WorkloadSpec::RandomTree {
                 budget: *budget,
-                max_children: *mc as u32,
-                grain_spread: *gs as u64,
-                seed: *seed as u64,
+                max_children: u32::try_from(*mc).map_err(|_| range(mc))?,
+                grain_spread: u64::try_from(*gs).map_err(|_| range(gs))?,
+                seed: u64::try_from(*seed).map_err(|_| range(seed))?,
             }),
             ("cyclic", [p, w, l]) => Ok(WorkloadSpec::Cyclic {
-                phases: *p as u32,
-                width: *w as u32,
+                phases: u32::try_from(*p).map_err(|_| range(p))?,
+                width: u32::try_from(*w).map_err(|_| range(w))?,
                 leaves: *l,
             }),
             ("tak", [x, y, z]) => Ok(WorkloadSpec::Tak {
@@ -180,6 +213,12 @@ impl FromStr for WorkloadSpec {
             ("random", _) => Err(arity("4")),
             ("cyclic", _) | ("tak", _) => Err(arity("3")),
             _ => Err(err(format!("unknown workload kind {kind:?}"))),
+        }?;
+        // The builders' preconditions are checked here so a CLI user sees
+        // the offending token, not a downstream panic.
+        match spec.violated_precondition() {
+            Some(why) => Err(err(format!("{s:?}: {why}"))),
+            None => Ok(spec),
         }
     }
 }
@@ -229,6 +268,31 @@ mod tests {
     fn parse_rejects_nonsense() {
         for bad in ["", "fib", "fib:x", "dc:1x2x3", "nope:1"] {
             assert!(bad.parse::<WorkloadSpec>().is_err(), "{bad:?} parsed");
+        }
+        // Well-formed but unbuildable: each names the token, never panics
+        // in `build`.
+        for bad in [
+            "fib:91",
+            "fib:-1",
+            "dc:0",
+            "dc:5x4",
+            "lopsided:0x1",
+            "lopsided:20x0",
+            "lopsided:20x100",
+            "random:0x2x1x1",
+            "random:50x1x1x1",
+            "random:50x3x0x1",
+            "random:50x-3x2x7",
+            "random:50x3x2x-7",
+            "cyclic:0x1x1",
+            "cyclic:1x0x1",
+            "cyclic:1x1x0",
+            "cyclic:-1x1x1",
+            "tak:99x1x1",
+            "tak:1x1x-65",
+        ] {
+            let msg = bad.parse::<WorkloadSpec>().unwrap_err().to_string();
+            assert!(msg.contains(&format!("{bad:?}")), "{bad:?}: {msg}");
         }
     }
 
