@@ -12,6 +12,9 @@
 //!    piece of mutable run state, down to RNG words and raw IEEE-754
 //!    statistics bits.
 //!
+//! An 8-byte digest of everything before it ends the file, so a damaged
+//! file is refused before any of its contents are trusted.
+//!
 //! Because the simulator is deterministic and the snapshot captures all
 //! mutable state, a resumed run produces a **bit-identical** final report
 //! to the uninterrupted run (`tests/robustness.rs` pins this per
@@ -22,9 +25,12 @@
 //! can leave a stale temp file behind but never a torn checkpoint.
 
 use std::fmt;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_des::FastHasher;
 use oracle_model::config::{LoadInfoMode, QueueDiscipline};
 use oracle_model::StateMode;
 use oracle_model::{
@@ -54,18 +60,22 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v6 dropped the interpretive knobs that only ever held one value (the
 /// root PE, whether responses count as load, optimistic accounting) and
 /// the single-crash shorthand, which a `crash:PE@T` fault-plan term spells.
-pub const CHECKPOINT_VERSION: u32 = 6;
+///
+/// v7 appended an 8-byte digest of every preceding byte, checked before
+/// anything past the header is decoded.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem failure (create, write, rename, read).
     Io(std::io::Error),
-    /// The file is not a checkpoint, is from a different layout version, or
-    /// is corrupt or truncated.
+    /// The file is not a checkpoint, is from a different layout version, is
+    /// corrupt or truncated, or holds a machine snapshot that does not
+    /// restore into the machine its own configuration builds.
     Format(String),
-    /// The checkpoint decoded fine but the simulator rejected it (or the
-    /// resumed run itself failed).
+    /// The stored configuration builds no machine, or the resumed run
+    /// itself failed.
     Sim(SimError),
 }
 
@@ -99,324 +109,253 @@ impl From<SnapError> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------
-// RunConfig codec. Specs use their compact string grammars (the same
-// round-trippable Display/FromStr pairs the suite parser uses); numeric
-// knobs are written field by field.
-// ---------------------------------------------------------------------
+/// A value that travels in its compact `Display` spelling and is parsed
+/// back with `FromStr`: the same round-trippable grammars the CLI flags
+/// and suite files use.
+struct Spelled<T>(T);
 
-fn put_config(w: &mut SnapWriter, config: &RunConfig) {
-    // Every struct below is destructured without `..`, so a field added
-    // later fails to compile here until the codec decides what to do
-    // with it.
-    let RunConfig {
-        topology,
-        strategy,
-        workload,
-        costs,
-        machine,
-    } = config;
-    w.str(&topology.to_string());
-    w.str(&strategy.to_string());
-    w.str(&workload.to_string());
-
-    let CostModel {
-        split_cost,
-        leaf_cost,
-        combine_cost,
-        goal_hop_cost,
-        response_hop_cost,
-        control_hop_cost,
-        software_routing_cost,
-    } = *costs;
-    w.u64(split_cost);
-    w.u64(leaf_cost);
-    w.u64(combine_cost);
-    w.u64(goal_hop_cost);
-    w.u64(response_hop_cost);
-    w.u64(control_hop_cost);
-    w.u64(software_routing_cost);
-
-    let MachineConfig {
-        seed,
-        sampling_interval,
-        load_info,
-        future_commitment_weight,
-        coprocessor,
-        per_pe_series,
-        max_events,
-        progress_window,
-        trace_capacity,
-        // Observability knobs: the trace ring mode and the profiler are not
-        // part of a snapshot (a resumed run's trace/profile start at the
-        // resume point), so checkpoints don't persist them.
-        trace_mode: _,
-        profile: _,
-        queue_discipline,
-        queue_backend,
-        fault_plan,
-        audit_every,
-        open,
-        state_mode,
-        per_pe_metrics,
-        pe_speed_spread,
-    } = machine;
-    w.u64(*seed);
-    w.u64(*sampling_interval);
-    match load_info {
-        LoadInfoMode::Piggyback { period } => {
-            w.u8(0);
-            w.u64(*period);
-        }
-        LoadInfoMode::Instant => w.u8(1),
+impl<T: fmt::Display + FromStr> Snap for Spelled<T>
+where
+    T::Err: fmt::Display,
+{
+    fn put(&self, w: &mut SnapWriter) {
+        w.str(&self.0.to_string());
     }
-    w.u32(*future_commitment_weight);
-    w.bool(*coprocessor);
-    w.bool(*per_pe_series);
-    w.u8(match state_mode {
-        StateMode::Auto => 0,
-        StateMode::Dense => 1,
-        StateMode::Sparse => 2,
-    });
-    w.bool(*per_pe_metrics);
-    w.u64(*max_events);
-    w.u64(*progress_window);
-    w.usize(*trace_capacity);
-    w.u8(match queue_discipline {
-        QueueDiscipline::Fifo => 0,
-        QueueDiscipline::Lifo => 1,
-        QueueDiscipline::DeepestFirst => 2,
-    });
-    w.u8(match queue_backend {
-        QueueBackend::Heap => 0,
-        QueueBackend::Calendar => 1,
-    });
-    w.str(&fault_plan.to_string());
-    w.u64(*audit_every);
-    match open {
-        Some(OpenTraffic {
-            arrivals,
-            duration,
-            warmup,
-            saturation_inflight,
-            deadline,
-            retry,
-            admission,
-            breaker,
-        }) => {
-            w.bool(true);
-            w.str(&arrivals.to_string());
-            w.u64(*duration);
-            w.u64(*warmup);
-            w.u64(*saturation_inflight);
-            match deadline {
-                Some(d) => {
-                    w.bool(true);
-                    w.u64(*d);
-                }
-                None => w.bool(false),
-            }
-            // Retry and admission policies travel in their compact string
-            // grammars (the same round-trippable Display/FromStr pairs the
-            // CLI flags use).
-            match retry {
-                Some(p) => {
-                    w.bool(true);
-                    w.str(&p.to_string());
-                }
-                None => w.bool(false),
-            }
-            match admission {
-                Some(p) => {
-                    w.bool(true);
-                    w.str(&p.to_string());
-                }
-                None => w.bool(false),
-            }
-            match breaker {
-                Some(c) => {
-                    w.bool(true);
-                    w.u64(*c);
-                }
-                None => w.bool(false),
-            }
-        }
-        None => w.bool(false),
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let s = r.str()?;
+        s.parse().map(Spelled).map_err(|e| {
+            let what = std::any::type_name::<T>()
+                .rsplit("::")
+                .next()
+                .unwrap_or("spec");
+            SnapError::Mismatch(format!("bad {what} {s:?}: {e}"))
+        })
     }
-    w.u64(*pe_speed_spread);
 }
 
-fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
-    let parse = |what: &'static str, s: &str, e: String| {
-        CheckpointError::Format(format!("bad {what} spec {s:?}: {e}"))
-    };
-    let topology = r.str()?;
-    let topology = topology
-        .parse()
-        .map_err(|e: oracle_topo::spec::ParseSpecError| {
-            parse("topology", topology, e.to_string())
-        })?;
-    let strategy = r.str()?;
-    let strategy = strategy
-        .parse()
-        .map_err(|e: oracle_strategies::spec::ParseStrategyError| {
-            parse("strategy", strategy, e.to_string())
-        })?;
-    let workload = r.str()?;
-    let workload = workload
-        .parse()
-        .map_err(|e: oracle_workloads::spec::ParseWorkloadError| {
-            parse("workload", workload, e.to_string())
-        })?;
+/// Specs travel spelled; numeric knobs field by field. Every struct is
+/// destructured without `..`, so a field added later fails to compile here
+/// until the codec decides what to do with it.
+impl Snap for RunConfig {
+    fn put(&self, w: &mut SnapWriter) {
+        let RunConfig {
+            topology,
+            strategy,
+            workload,
+            costs,
+            machine,
+        } = self;
+        Spelled(*topology).put(w);
+        Spelled(*strategy).put(w);
+        Spelled(*workload).put(w);
 
-    let costs = CostModel {
-        split_cost: r.u64()?,
-        leaf_cost: r.u64()?,
-        combine_cost: r.u64()?,
-        goal_hop_cost: r.u64()?,
-        response_hop_cost: r.u64()?,
-        control_hop_cost: r.u64()?,
-        software_routing_cost: r.u64()?,
-    };
+        let CostModel {
+            split_cost,
+            leaf_cost,
+            combine_cost,
+            goal_hop_cost,
+            response_hop_cost,
+            control_hop_cost,
+            software_routing_cost,
+        } = *costs;
+        for c in [
+            split_cost,
+            leaf_cost,
+            combine_cost,
+            goal_hop_cost,
+            response_hop_cost,
+            control_hop_cost,
+            software_routing_cost,
+        ] {
+            w.u64(c);
+        }
 
-    let seed = r.u64()?;
-    let sampling_interval = r.u64()?;
-    let load_info = match r.u8()? {
-        0 => LoadInfoMode::Piggyback { period: r.u64()? },
-        1 => LoadInfoMode::Instant,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown load-info mode tag {t}"
-            )))
-        }
-    };
-    let future_commitment_weight = r.u32()?;
-    let coprocessor = r.bool()?;
-    let per_pe_series = r.bool()?;
-    let state_mode = match r.u8()? {
-        0 => StateMode::Auto,
-        1 => StateMode::Dense,
-        2 => StateMode::Sparse,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown state-mode tag {t}"
-            )))
-        }
-    };
-    let per_pe_metrics = r.bool()?;
-    let max_events = r.u64()?;
-    let progress_window = r.u64()?;
-    let trace_capacity = r.usize()?;
-    let queue_discipline = match r.u8()? {
-        0 => QueueDiscipline::Fifo,
-        1 => QueueDiscipline::Lifo,
-        2 => QueueDiscipline::DeepestFirst,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown queue-discipline tag {t}"
-            )))
-        }
-    };
-    let queue_backend = match r.u8()? {
-        0 => QueueBackend::Heap,
-        1 => QueueBackend::Calendar,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown queue-backend tag {t}"
-            )))
-        }
-    };
-    let fault_plan = r.str()?;
-    let fault_plan =
-        fault_plan
-            .parse()
-            .map_err(|e: oracle_model::faults::ParseFaultPlanError| {
-                parse("fault-plan", fault_plan, e.to_string())
-            })?;
-    let audit_every = r.u64()?;
-    let open = if r.bool()? {
-        let arrivals = r.str()?;
-        let arrivals = arrivals
-            .parse()
-            .map_err(|e: oracle_model::ParseArrivalError| {
-                parse("arrival", arrivals, e.to_string())
-            })?;
-        let duration = r.u64()?;
-        let warmup = r.u64()?;
-        let saturation_inflight = r.u64()?;
-        let deadline = if r.bool()? { Some(r.u64()?) } else { None };
-        let retry =
-            if r.bool()? {
-                let s = r.str()?;
-                Some(s.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                    parse("retry", s, e.to_string())
-                })?)
-            } else {
-                None
-            };
-        let admission = if r.bool()? {
-            let s = r.str()?;
-            Some(s.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                parse("admission", s, e.to_string())
-            })?)
-        } else {
-            None
-        };
-        let breaker = if r.bool()? { Some(r.u64()?) } else { None };
-        Some(OpenTraffic {
-            arrivals,
-            duration,
-            warmup,
-            saturation_inflight,
-            deadline,
-            retry,
-            admission,
-            breaker,
-        })
-    } else {
-        None
-    };
-    let pe_speed_spread = r.u64()?;
-
-    Ok(RunConfig {
-        topology,
-        strategy,
-        workload,
-        costs,
-        machine: MachineConfig {
+        let MachineConfig {
             seed,
             sampling_interval,
             load_info,
             future_commitment_weight,
             coprocessor,
             per_pe_series,
-            state_mode,
-            per_pe_metrics,
             max_events,
             progress_window,
             trace_capacity,
-            // Not persisted; see `put_config`.
-            trace_mode: oracle_model::TraceMode::default(),
-            profile: false,
+            // Observability knobs: the trace ring mode and the profiler are
+            // not part of a snapshot (a resumed run's trace/profile start at
+            // the resume point), so checkpoints don't persist them.
+            trace_mode: _,
+            profile: _,
             queue_discipline,
             queue_backend,
             fault_plan,
             audit_every,
             open,
+            state_mode,
+            per_pe_metrics,
             pe_speed_spread,
-        },
-    })
+        } = machine;
+        (*seed, *sampling_interval).put(w);
+        match load_info {
+            LoadInfoMode::Piggyback { period } => {
+                w.u8(0);
+                w.u64(*period);
+            }
+            LoadInfoMode::Instant => w.u8(1),
+        }
+        (*future_commitment_weight, *coprocessor, *per_pe_series).put(w);
+        w.u8(match state_mode {
+            StateMode::Auto => 0,
+            StateMode::Dense => 1,
+            StateMode::Sparse => 2,
+        });
+        w.bool(*per_pe_metrics);
+        (*max_events, *progress_window, *trace_capacity).put(w);
+        w.u8(match queue_discipline {
+            QueueDiscipline::Fifo => 0,
+            QueueDiscipline::Lifo => 1,
+            QueueDiscipline::DeepestFirst => 2,
+        });
+        w.u8(match queue_backend {
+            QueueBackend::Heap => 0,
+            QueueBackend::Calendar => 1,
+        });
+        Spelled(fault_plan.clone()).put(w);
+        w.u64(*audit_every);
+        w.bool(open.is_some());
+        if let Some(OpenTraffic {
+            arrivals,
+            duration,
+            warmup,
+            saturation_inflight,
+            deadline,
+            retry,
+            admission,
+            breaker,
+        }) = open
+        {
+            Spelled(arrivals.clone()).put(w);
+            (*duration, *warmup, *saturation_inflight).put(w);
+            deadline.put(w);
+            retry.map(Spelled).put(w);
+            admission.map(Spelled).put(w);
+            breaker.put(w);
+        }
+        w.u64(*pe_speed_spread);
+    }
+
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let topology = Spelled::get(r)?.0;
+        let strategy = Spelled::get(r)?.0;
+        let workload = Spelled::get(r)?.0;
+        let costs = CostModel {
+            split_cost: r.u64()?,
+            leaf_cost: r.u64()?,
+            combine_cost: r.u64()?,
+            goal_hop_cost: r.u64()?,
+            response_hop_cost: r.u64()?,
+            control_hop_cost: r.u64()?,
+            software_routing_cost: r.u64()?,
+        };
+        let (seed, sampling_interval) = Snap::get(r)?;
+        let load_info = match r.u8()? {
+            0 => LoadInfoMode::Piggyback { period: r.u64()? },
+            1 => LoadInfoMode::Instant,
+            t => return Err(SnapError::invalid("load-info mode tag", t.into())),
+        };
+        let (future_commitment_weight, coprocessor, per_pe_series) = Snap::get(r)?;
+        let state_mode = match r.u8()? {
+            0 => StateMode::Auto,
+            1 => StateMode::Dense,
+            2 => StateMode::Sparse,
+            t => return Err(SnapError::invalid("state-mode tag", t.into())),
+        };
+        let per_pe_metrics = r.bool()?;
+        let (max_events, progress_window, trace_capacity) = Snap::get(r)?;
+        let queue_discipline = match r.u8()? {
+            0 => QueueDiscipline::Fifo,
+            1 => QueueDiscipline::Lifo,
+            2 => QueueDiscipline::DeepestFirst,
+            t => return Err(SnapError::invalid("queue-discipline tag", t.into())),
+        };
+        let queue_backend = match r.u8()? {
+            0 => QueueBackend::Heap,
+            1 => QueueBackend::Calendar,
+            t => return Err(SnapError::invalid("queue-backend tag", t.into())),
+        };
+        let fault_plan = Spelled::get(r)?.0;
+        let audit_every = r.u64()?;
+        let open = if r.bool()? {
+            let arrivals = Spelled::get(r)?.0;
+            let (duration, warmup, saturation_inflight) = Snap::get(r)?;
+            Some(OpenTraffic {
+                arrivals,
+                duration,
+                warmup,
+                saturation_inflight,
+                deadline: Snap::get(r)?,
+                retry: Option::<Spelled<_>>::get(r)?.map(|s| s.0),
+                admission: Option::<Spelled<_>>::get(r)?.map(|s| s.0),
+                breaker: Snap::get(r)?,
+            })
+        } else {
+            None
+        };
+        Ok(RunConfig {
+            topology,
+            strategy,
+            workload,
+            costs,
+            machine: MachineConfig {
+                seed,
+                sampling_interval,
+                load_info,
+                future_commitment_weight,
+                coprocessor,
+                per_pe_series,
+                state_mode,
+                per_pe_metrics,
+                max_events,
+                progress_window,
+                trace_capacity,
+                // Not persisted; see `put`.
+                trace_mode: oracle_model::TraceMode::default(),
+                profile: false,
+                queue_discipline,
+                queue_backend,
+                fault_plan,
+                audit_every,
+                open,
+                pe_speed_spread: r.u64()?,
+            },
+        })
+    }
 }
 
-/// Serialize a checkpoint: header, run configuration, machine snapshot.
+/// Length of the digest trailer that ends every checkpoint file.
+const DIGEST_LEN: usize = 8;
+
+/// The [`FastHasher`] fold of `bytes`. Each step is a bijection of the
+/// running state for a fixed input word, so changing any one 8-byte word
+/// of a same-length file always changes the digest.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut h = FastHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Serialize a checkpoint: header, run configuration, machine snapshot,
+/// then the digest of every preceding byte.
 pub fn checkpoint_bytes(config: &RunConfig, machine: &mut Machine) -> Vec<u8> {
     let snapshot = machine.snapshot_bytes();
     let mut w = SnapWriter::with_capacity(snapshot.len() + 256);
     w.u32(CHECKPOINT_MAGIC);
     w.u32(CHECKPOINT_VERSION);
-    put_config(&mut w, config);
+    config.put(&mut w);
     w.bytes(&snapshot);
-    w.into_bytes()
+    let mut bytes = w.into_bytes();
+    let d = digest(&bytes);
+    bytes.extend_from_slice(&d.to_le_bytes());
+    bytes
 }
 
 /// A checkpoint read back from disk, ready to resume.
@@ -429,7 +368,9 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Decode a checkpoint blob.
+    /// Decode a checkpoint blob. The header is checked first, so a file
+    /// of another layout version is named as such; then the digest, before
+    /// any other byte is decoded.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = SnapReader::new(bytes);
         let magic = r.u32()?;
@@ -445,7 +386,15 @@ impl Checkpoint {
                  (this build reads version {CHECKPOINT_VERSION})"
             )));
         }
-        let config = get_config(&mut r)?;
+        let corrupt =
+            || CheckpointError::Format("digest mismatch: the file is corrupt or truncated".into());
+        let body_len = bytes.len().checked_sub(DIGEST_LEN).filter(|&n| n >= 8);
+        let (body, trailer) = bytes.split_at(body_len.ok_or_else(corrupt)?);
+        if u64::from_le_bytes(trailer.try_into().expect("8-byte trailer")) != digest(body) {
+            return Err(corrupt());
+        }
+        let mut r = SnapReader::new(&body[8..]);
+        let config = RunConfig::get(&mut r)?;
         let machine_bytes = r.bytes()?.to_vec();
         r.finish()?;
         Ok(Checkpoint {
@@ -465,7 +414,14 @@ impl Checkpoint {
     /// taken.
     pub fn resume(&self) -> Result<Machine, CheckpointError> {
         let mut machine = self.config.machine()?;
-        machine.restore_bytes(&self.machine_bytes)?;
+        // The configuration built a machine, so a blob that does not
+        // restore into it is a bad file, not a bad configuration.
+        machine
+            .restore_bytes(&self.machine_bytes)
+            .map_err(|e| match e {
+                SimError::InvalidConfig(msg) => CheckpointError::Format(msg),
+                e => CheckpointError::Sim(e),
+            })?;
         Ok(machine)
     }
 }
@@ -630,10 +586,10 @@ mod tests {
             },
         };
         let mut w = SnapWriter::new();
-        put_config(&mut w, &config);
+        config.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let decoded = get_config(&mut r).unwrap();
+        let decoded = RunConfig::get(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded, config);
     }
@@ -848,16 +804,137 @@ mod tests {
         let mut machine = config.machine().unwrap();
         machine.begin();
         machine.advance_until(Some(100)).unwrap();
-        let mut bytes = checkpoint_bytes(&config, &mut machine);
-        bytes.truncate(bytes.len() - 7);
-        let err = Checkpoint::from_bytes(&bytes).unwrap_err();
-        // Depending on where the cut lands the codec reports either a
-        // truncation (Eof) or an impossible length field (Invalid).
+        let bytes = checkpoint_bytes(&config, &mut machine);
+        for cut in [bytes.len() - 7, 12, 8] {
+            let err = Checkpoint::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Format(ref m) if m.contains("digest")),
+                "{err}"
+            );
+        }
+
+        // A blob that decodes but does not fit the machine its own
+        // configuration builds is a bad file too, not a bad configuration:
+        // a 4x4-grid snapshot under a 5x5-grid configuration, and one
+        // taken under another strategy.
+        let checkpoint = Checkpoint::from_bytes(&bytes).unwrap();
+        for (other, expect) in [
+            (
+                RunConfig {
+                    topology: TopologySpec::grid(5),
+                    ..config.clone()
+                },
+                "25 PEs",
+            ),
+            (
+                RunConfig {
+                    strategy: StrategySpec::gradient_paper(true),
+                    ..config.clone()
+                },
+                "strategy snapshot was taken from",
+            ),
+        ] {
+            let swapped = Checkpoint {
+                config: other,
+                machine_bytes: checkpoint.machine_bytes.clone(),
+            };
+            let err = swapped.resume().err().expect("resume must fail");
+            assert!(
+                matches!(err, CheckpointError::Format(ref m) if m.contains(expect)),
+                "{err}"
+            );
+        }
+        let mut corrupt = checkpoint;
+        corrupt.machine_bytes.truncate(100);
+        let err = corrupt.resume().err().expect("resume must fail");
         assert!(
-            matches!(err, CheckpointError::Format(ref m)
-                if m.contains("truncated") || m.contains("invalid snapshot field")),
+            matches!(err, CheckpointError::Format(ref m) if m.contains("corrupt machine snapshot")),
             "{err}"
         );
+    }
+
+    /// A checkpoint file of `config` paused at `at`.
+    fn paused_checkpoint(config: &RunConfig, at: u64) -> Vec<u8> {
+        let mut machine = config.machine().unwrap();
+        machine.begin();
+        assert!(!machine.advance_until(Some(at)).unwrap());
+        checkpoint_bytes(config, &mut machine)
+    }
+
+    fn open_config() -> RunConfig {
+        let mut config = sample_config();
+        let mut open = OpenTraffic::new("poisson:6".parse().unwrap(), 3000);
+        open.warmup = 300;
+        open.deadline = Some(900);
+        open.retry = Some("2x200".parse().unwrap());
+        open.admission = Some("queue:16".parse().unwrap());
+        config.machine.open = Some(open);
+        config
+    }
+
+    #[test]
+    fn every_flipped_byte_is_a_format_error() {
+        for (config, at) in [(sample_config(), 300), (open_config(), 900)] {
+            let bytes = paused_checkpoint(&config, at);
+            let mut flipped = bytes.clone();
+            for i in 0..bytes.len() {
+                flipped[i] = !bytes[i];
+                match Checkpoint::from_bytes(&flipped) {
+                    Err(CheckpointError::Format(_)) => {}
+                    other => panic!("flipping byte {i} of {} gave {other:?}", bytes.len()),
+                }
+                flipped[i] = bytes[i];
+            }
+            let mut resumed = Checkpoint::from_bytes(&bytes).unwrap().resume().unwrap();
+            resumed.advance_until(None).unwrap();
+            assert_eq!(
+                format!("{:?}", resumed.finish().unwrap().0),
+                format!("{:?}", config.run().unwrap()),
+                "the untouched file must resume bit-identically"
+            );
+        }
+    }
+
+    /// The machine blob's layout is fixed: two paused runs must encode to
+    /// exactly the bytes (same length, same digest) the layout has always
+    /// given them, and a checkpoint file is that blob behind the same
+    /// configuration bytes, under version 7 and a digest trailer.
+    #[test]
+    fn machine_blob_layout_is_pinned() {
+        let closed = SimulationBuilder::new()
+            .topology(TopologySpec::grid(6))
+            .workload(WorkloadSpec::fib(14))
+            .seed(7)
+            .config();
+        let mut open = OpenTraffic::new("poisson:12".parse().unwrap(), 20_000);
+        open.deadline = Some(2000);
+        open.retry = Some("2x200".parse().unwrap());
+        open.admission = Some("queue:64".parse().unwrap());
+        let open = SimulationBuilder::new()
+            .topology(TopologySpec::grid(10))
+            .strategy(StrategySpec::Cwn {
+                radius: 9,
+                horizon: 1,
+            })
+            .workload(WorkloadSpec::fib(11))
+            .open(Some(open))
+            .seed(7)
+            .config();
+        for (config, at, len, pinned) in [
+            (&closed, 300, 30_360, 0xb3bf_5f4a_86dc_fd4c_u64),
+            (&open, 5000, 68_472, 0xe64b_8dff_d6f0_d644),
+        ] {
+            let mut machine = config.machine().unwrap();
+            machine.begin();
+            assert!(!machine.advance_until(Some(at)).unwrap());
+            let blob = machine.snapshot_bytes();
+            assert_eq!((blob.len(), digest(&blob)), (len, pinned));
+        }
+        let mut file = paused_checkpoint(&closed, 300);
+        assert_eq!(file.len(), 30_565 + DIGEST_LEN);
+        file.truncate(file.len() - DIGEST_LEN);
+        file[4..8].copy_from_slice(&6u32.to_le_bytes());
+        assert_eq!(digest(&file), 0xf4de_6a65_fde6_ae45);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl<E> DualQueue<E> {
     /// Drain the queue into a [`QueueSnapshot`], leaving it empty. Popping
     /// is the only operation whose order both backends define identically,
     /// so draining *is* the canonical serialization; callers that need to
-    /// keep running rebuild the queue with [`DualQueue::from_snapshot`].
+    /// keep running rebuild the queue with [`DualQueue::restore_snapshot`].
     pub fn take_snapshot(&mut self) -> QueueSnapshot<E> {
         let now = self.now();
         let processed = self.events_processed();
@@ -202,23 +202,6 @@ impl<E> DualQueue<E> {
                 snap.events,
             )),
         };
-    }
-
-    /// Build a queue from a snapshot, choosing the backend explicitly.
-    pub fn from_snapshot(use_heap: bool, snap: QueueSnapshot<E>) -> Self {
-        if use_heap {
-            DualQueue::Heap(EventQueue::from_snapshot(
-                snap.now,
-                snap.processed,
-                snap.events,
-            ))
-        } else {
-            DualQueue::Calendar(CalendarQueue::from_snapshot(
-                snap.now,
-                snap.processed,
-                snap.events,
-            ))
-        }
     }
 }
 
@@ -273,8 +256,10 @@ mod tests {
         }
         let snap = snap_source.take_snapshot();
         assert!(snap_source.is_empty());
-        let mut as_heap = DualQueue::from_snapshot(true, snap.clone());
-        let mut as_cal = DualQueue::from_snapshot(false, snap.clone());
+        let mut as_heap = DualQueue::heap();
+        as_heap.restore_snapshot(snap.clone());
+        let mut as_cal = DualQueue::calendar();
+        as_cal.restore_snapshot(snap.clone());
         snap_source.restore_snapshot(snap);
         assert_eq!(snap_source.now(), reference.now());
         assert_eq!(snap_source.events_processed(), reference.events_processed());

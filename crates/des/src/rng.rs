@@ -7,6 +7,8 @@
 //! change between versions. The statistical quality of xoshiro256** is far
 //! beyond what a load-balancing simulation can detect.
 
+use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+
 /// SplitMix64 step — used to expand a 64-bit seed into generator state and
 /// to derive independent substreams.
 #[inline]
@@ -50,17 +52,6 @@ impl Rng {
     /// the parent's future output beyond a single draw.
     pub fn fork(&mut self) -> Rng {
         Rng::seed_from_u64(self.next_u64())
-    }
-
-    /// The raw generator state, for checkpointing. Restoring it with
-    /// [`Rng::from_state`] resumes the exact output stream.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a state captured by [`Rng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Rng { s }
     }
 
     /// Next 64 uniformly random bits.
@@ -134,6 +125,16 @@ impl Rng {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// The four state words: restoring them resumes the exact output stream.
+impl Snap for Rng {
+    fn put(&self, w: &mut SnapWriter) {
+        self.s.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Rng { s: Snap::get(r)? })
     }
 }
 

@@ -5,14 +5,24 @@
 //! the wire format is fixed-width little-endian integers with floats carried
 //! as their IEEE-754 bit patterns — no text formatting, no locale, no
 //! precision loss. [`SnapWriter`] appends fields to a byte buffer and
-//! [`SnapReader`] consumes them in the same order; every composite structure
-//! in the simulator serializes itself field-by-field through this pair, and
-//! any length or tag that fails to decode surfaces as a [`SnapError`] rather
-//! than corrupt state.
+//! [`SnapReader`] consumes them in the same order.
+//!
+//! A type's layout is written once, as its [`Snap`] impl: `put` and `get`
+//! sit side by side, and composites (options, tuples, vectors, maps) are
+//! built from their parts' impls, so the two directions cannot drift
+//! apart. Any length or tag that fails to decode surfaces as a
+//! [`SnapError`] rather than corrupt state.
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::hash::Hash;
 
-/// Decoding failure: the byte stream ended early or held an invalid value.
+use crate::hash::FastHashMap;
+use crate::inline::InlineVec;
+use crate::time::SimTime;
+
+/// Decoding failure: the byte stream ended early, held an invalid value, or
+/// does not fit the value it is restored into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The buffer ran out at `offset` while `needed` more bytes were
@@ -21,6 +31,17 @@ pub enum SnapError {
     /// A decoded field held a value outside its domain (bad bool tag, bad
     /// enum discriminant, non-UTF-8 string bytes, ...).
     Invalid { what: &'static str, value: u64 },
+    /// The bytes decoded, but describe a value the receiver cannot take (a
+    /// machine of another shape, another strategy, another arrival
+    /// process).
+    Mismatch(String),
+}
+
+impl SnapError {
+    /// A decoded field outside its domain.
+    pub fn invalid(what: &'static str, value: u64) -> Self {
+        SnapError::Invalid { what, value }
+    }
 }
 
 impl fmt::Display for SnapError {
@@ -35,6 +56,7 @@ impl fmt::Display for SnapError {
             SnapError::Invalid { what, value } => {
                 write!(f, "invalid snapshot field {what}: {value}")
             }
+            SnapError::Mismatch(msg) => f.write_str(msg),
         }
     }
 }
@@ -226,9 +248,15 @@ impl<'a> SnapReader<'a> {
         })
     }
 
+    /// A capacity for `n` decoded elements that a corrupt length prefix
+    /// cannot inflate: every element takes at least one byte.
+    fn capacity(&self, n: usize) -> usize {
+        n.min(self.remaining())
+    }
+
     /// Assert that every byte has been consumed (trailing garbage means the
     /// reader and writer disagree about the format).
-    pub fn finish(self) -> Result<(), SnapError> {
+    pub fn finish(&self) -> Result<(), SnapError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
@@ -237,6 +265,167 @@ impl<'a> SnapReader<'a> {
                 value: self.remaining() as u64,
             })
         }
+    }
+}
+
+/// A value with one binary layout: [`Snap::put`] appends it and
+/// [`Snap::get`] reads it back, so both directions live in one impl.
+pub trait Snap: Sized {
+    /// Append `self` to `w`.
+    fn put(&self, w: &mut SnapWriter);
+    /// Read a value written by [`Snap::put`].
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError>;
+}
+
+macro_rules! snap_primitive {
+    ($($t:ty => $m:ident),*) => {$(
+        impl Snap for $t {
+            fn put(&self, w: &mut SnapWriter) {
+                w.$m(*self);
+            }
+            fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+                r.$m()
+            }
+        }
+    )*};
+}
+
+snap_primitive!(
+    u8 => u8,
+    u32 => u32,
+    u64 => u64,
+    i64 => i64,
+    f64 => f64,
+    bool => bool,
+    usize => usize
+);
+
+impl Snap for SimTime {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.0);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(SimTime(r.u64()?))
+    }
+}
+
+/// Fixed-length arrays carry no length prefix.
+impl<T: Snap + Copy + Default, const N: usize> Snap for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        for x in self {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let mut out = [T::default(); N];
+        for x in &mut out {
+            *x = T::get(r)?;
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
+    fn put(&self, w: &mut SnapWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A presence byte, then the value if present.
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// Write a length prefix and then each element.
+fn put_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.usize(items.len());
+    for x in items {
+        x.put(w);
+    }
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_seq(w, self.iter());
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let n = r.usize()?;
+        let mut out = Vec::with_capacity(r.capacity(n));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Snap> Snap for VecDeque<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_seq(w, self.iter());
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Vec::get(r)?.into())
+    }
+}
+
+impl<T: Snap + Copy + Default, const N: usize> Snap for InlineVec<T, N> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_seq(w, self.iter());
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Vec::get(r)?.into())
+    }
+}
+
+/// A length prefix, then `(key, value)` pairs in ascending key order:
+/// map iteration order must not leak into the bytes, or two snapshots of
+/// one state could differ.
+impl<K: Snap + Ord + Hash + Copy, V: Snap> Snap for FastHashMap<K, V> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut keys: Vec<K> = self.keys().copied().collect();
+        keys.sort_unstable();
+        w.usize(keys.len());
+        for k in keys {
+            k.put(w);
+            self[&k].put(w);
+        }
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let n = r.usize()?;
+        let mut map = FastHashMap::default();
+        map.reserve(r.capacity(n));
+        for _ in 0..n {
+            let k = K::get(r)?;
+            if map.insert(k, V::get(r)?).is_some() {
+                return Err(SnapError::invalid(
+                    "duplicate map key at byte",
+                    r.position() as u64,
+                ));
+            }
+        }
+        Ok(map)
     }
 }
 
@@ -324,6 +513,73 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         r.u8().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    fn round_trip<T: Snap>(v: &T) -> (Vec<u8>, T) {
+        let mut w = SnapWriter::new();
+        v.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = T::get(&mut r).unwrap();
+        r.finish().unwrap();
+        (bytes, back)
+    }
+
+    #[test]
+    fn composites_round_trip() {
+        let v: (Option<u32>, Vec<(u64, bool)>, [i64; 2]) =
+            (Some(9), vec![(1, true), (u64::MAX, false)], [-1, 7]);
+        assert_eq!(round_trip(&v).1, v);
+        let q: VecDeque<SimTime> = [SimTime(3), SimTime(1)].into();
+        assert_eq!(round_trip(&q).1, q);
+        let l: InlineVec<u32, 2> = (0..5).collect();
+        assert_eq!(&round_trip(&l).1[..], &l[..]);
+        assert_eq!(round_trip(&None::<u8>).0, [0]);
+    }
+
+    #[test]
+    fn maps_are_written_in_key_order() {
+        let mut a: FastHashMap<u64, u32> = FastHashMap::default();
+        let mut b: FastHashMap<u64, u32> = FastHashMap::default();
+        for k in 0..100 {
+            a.insert(k, k as u32 * 3);
+            b.insert(99 - k, (99 - k) as u32 * 3);
+        }
+        let (bytes_a, back) = round_trip(&a);
+        assert_eq!(bytes_a, round_trip(&b).0);
+        assert_eq!(back, a);
+        let mut expect = SnapWriter::new();
+        expect.usize(100);
+        for k in 0..100u64 {
+            expect.u64(k);
+            expect.u32(k as u32 * 3);
+        }
+        assert_eq!(bytes_a, expect.into_bytes());
+    }
+
+    #[test]
+    fn corrupt_lengths_and_duplicate_keys_are_errors() {
+        // A length prefix claiming 2^60 elements fails at the end of the
+        // buffer instead of reserving memory for them.
+        let mut w = SnapWriter::new();
+        w.usize(1 << 60);
+        w.u64(1);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            Vec::<u64>::get(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Eof { .. })
+        ));
+        let mut w = SnapWriter::new();
+        w.usize(2);
+        for _ in 0..2 {
+            w.u64(5);
+            w.u8(0);
+        }
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            <FastHashMap<u64, u8> as Snap>::get(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Invalid { .. })
+        ));
     }
 
     #[test]

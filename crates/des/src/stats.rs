@@ -20,6 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
 /// Single-pass mean / variance / extrema via Welford's algorithm.
@@ -101,26 +102,6 @@ impl OnlineStats {
     /// Largest observation, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// The raw accumulator fields `(count, mean, m2, min, max)`, for
-    /// checkpointing. `min`/`max` are the internal sentinels (±infinity)
-    /// when empty, so the round-trip is exact even for an empty
-    /// accumulator.
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild an accumulator from fields captured by
-    /// [`OnlineStats::raw_parts`].
-    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        OnlineStats {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
     }
 
     /// Merge another accumulator into this one (parallel-sweep reduction).
@@ -220,22 +201,6 @@ impl Histogram {
     /// Largest non-empty bucket index, ignoring overflow.
     pub fn max_nonzero_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&c| c > 0)
-    }
-
-    /// The raw fields `(buckets, overflow, total, sum)`, for checkpointing.
-    pub fn raw_parts(&self) -> (&[u64], u64, u64, u64) {
-        (&self.buckets, self.overflow, self.total, self.sum)
-    }
-
-    /// Rebuild a histogram from fields captured by
-    /// [`Histogram::raw_parts`].
-    pub fn from_raw_parts(buckets: Vec<u64>, overflow: u64, total: u64, sum: u64) -> Self {
-        Histogram {
-            buckets,
-            overflow,
-            total,
-            sum,
-        }
     }
 }
 
@@ -381,31 +346,6 @@ impl LogHistogram {
             Self::floor_of(hit)
         }
     }
-
-    /// The raw fields `(buckets, total, sum, max)`, for checkpointing.
-    pub fn raw_parts(&self) -> (&[u64], u64, f64, u64) {
-        (&self.buckets, self.total, self.sum, self.max)
-    }
-
-    /// Rebuild a histogram from fields captured by
-    /// [`LogHistogram::raw_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` has the wrong length.
-    pub fn from_raw_parts(buckets: Vec<u64>, total: u64, sum: f64, max: u64) -> Self {
-        assert_eq!(
-            buckets.len(),
-            Self::NUM_BUCKETS,
-            "log histogram bucket count mismatch"
-        );
-        LogHistogram {
-            buckets,
-            total,
-            sum,
-            max,
-        }
-    }
 }
 
 /// Accumulates the busy time of a single resource.
@@ -455,20 +395,6 @@ impl BusyTracker {
     /// Total busy units up to `now` (counting a still-open busy span).
     pub fn busy_time(&self, now: SimTime) -> u64 {
         self.accumulated + self.busy_since.map_or(0, |s| now - s)
-    }
-
-    /// The raw fields `(busy_since, accumulated)`, for checkpointing.
-    pub fn raw_parts(&self) -> (Option<SimTime>, u64) {
-        (self.busy_since, self.accumulated)
-    }
-
-    /// Rebuild a tracker from fields captured by
-    /// [`BusyTracker::raw_parts`].
-    pub fn from_raw_parts(busy_since: Option<SimTime>, accumulated: u64) -> Self {
-        BusyTracker {
-            busy_since,
-            accumulated,
-        }
     }
 
     /// Fraction of `[0, now)` the resource was busy, in `[0, 1]`.
@@ -581,23 +507,95 @@ impl IntervalSeries {
     pub fn total_busy(&self) -> u64 {
         self.busy.iter().sum()
     }
+}
 
-    /// The raw fields `(width, busy)`, for checkpointing. The width matters:
-    /// a series that already coarsened must resume at its doubled width to
-    /// stay bit-identical with an uninterrupted run.
-    pub fn raw_parts(&self) -> (u64, &[u64]) {
-        (self.width, &self.busy)
+// Checkpoint layouts. Floats travel as raw IEEE-754 bits and an empty
+// accumulator's ±infinity sentinels survive as they are, so every round
+// trip is exact.
+
+impl Snap for OnlineStats {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.count);
+        for x in [self.mean, self.m2, self.min, self.max] {
+            w.f64(x);
+        }
     }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(OnlineStats {
+            count: r.u64()?,
+            mean: r.f64()?,
+            m2: r.f64()?,
+            min: r.f64()?,
+            max: r.f64()?,
+        })
+    }
+}
 
-    /// Rebuild a series from fields captured by
-    /// [`IntervalSeries::raw_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn from_raw_parts(width: u64, busy: Vec<u64>) -> Self {
-        assert!(width > 0, "sampling interval must be positive");
-        IntervalSeries { width, busy }
+impl Snap for Histogram {
+    fn put(&self, w: &mut SnapWriter) {
+        self.buckets.put(w);
+        (self.overflow, self.total, self.sum).put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Histogram {
+            buckets: Snap::get(r)?,
+            overflow: r.u64()?,
+            total: r.u64()?,
+            sum: r.u64()?,
+        })
+    }
+}
+
+impl Snap for LogHistogram {
+    fn put(&self, w: &mut SnapWriter) {
+        self.buckets.put(w);
+        (self.total, self.sum, self.max).put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let buckets: Vec<u64> = Snap::get(r)?;
+        if buckets.len() != Self::NUM_BUCKETS {
+            return Err(SnapError::invalid(
+                "log histogram bucket count",
+                buckets.len() as u64,
+            ));
+        }
+        Ok(LogHistogram {
+            buckets,
+            total: r.u64()?,
+            sum: r.f64()?,
+            max: r.u64()?,
+        })
+    }
+}
+
+impl Snap for BusyTracker {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.busy_since, self.accumulated).put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(BusyTracker {
+            busy_since: Snap::get(r)?,
+            accumulated: r.u64()?,
+        })
+    }
+}
+
+/// The width travels too: a series that already coarsened must resume at
+/// its doubled width to stay bit-identical with an uninterrupted run.
+impl Snap for IntervalSeries {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.width);
+        self.busy.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let width = r.u64()?;
+        if width == 0 {
+            return Err(SnapError::invalid("interval series width", 0));
+        }
+        Ok(IntervalSeries {
+            width,
+            busy: Snap::get(r)?,
+        })
     }
 }
 
@@ -736,13 +734,17 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_round_trips_raw_parts() {
+    fn log_histogram_round_trips_through_snap() {
         let mut h = LogHistogram::new();
         for v in [0, 5, 17, 900, 123_456_789] {
             h.record(v);
         }
-        let (buckets, total, sum, max) = h.raw_parts();
-        let back = LogHistogram::from_raw_parts(buckets.to_vec(), total, sum, max);
+        let mut w = SnapWriter::new();
+        h.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = LogHistogram::get(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.total(), h.total());
         assert_eq!(back.max(), h.max());
         for q in [0.1, 0.5, 0.95, 0.99, 1.0] {

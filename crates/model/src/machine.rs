@@ -1372,12 +1372,6 @@ impl Machine {
         self.core.events.events_processed()
     }
 
-    /// Read-only view of the machine core (strategy tests size per-PE
-    /// state against it when exercising [`Strategy::restore_state`]).
-    pub fn core(&self) -> &Core {
-        &self.core
-    }
-
     /// Run the simulation and also return the event trace (empty unless
     /// `MachineConfig::trace_capacity` is set).
     pub fn run_traced(mut self) -> Result<(Report, Trace), SimError> {

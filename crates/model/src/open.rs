@@ -1298,10 +1298,12 @@ mod tests {
         st.note_qlen(300, 1); // len 1 over [100,300) => 200 units at 1
         st.note_qlen(400, -1); // len 2 over [300,400) => 100 units at 2
         st.flush_qlen(500); // len 1 over [400,500) => 100 units at 1
-        let (buckets, total, _, max) = st.qlen_hist.raw_parts();
-        assert_eq!(total, 400);
-        assert_eq!(max, 2);
-        assert_eq!(buckets[1], 300);
-        assert_eq!(buckets[2], 100);
+        let h = &st.qlen_hist;
+        assert_eq!(h.total(), 400);
+        assert_eq!(h.max(), 2);
+        // 300 units at length 1, then 100 at length 2.
+        assert_eq!(h.mean(), 1.25);
+        assert_eq!(h.quantile(0.75), 1);
+        assert_eq!(h.quantile(0.76), 2);
     }
 }

@@ -12,6 +12,11 @@
 //! the same run configuration, then calling [`Machine::restore_bytes`]
 //! instead of [`Machine::begin`].
 //!
+//! Each model type's layout is its [`Snap`] impl below; `snapshot_bytes`
+//! and `restore_inner` walk the machine's fields through them in one fixed
+//! order. Topology ids (`PeId`, `ChannelId`) travel as their `u32` index:
+//! both they and the trait are foreign to this crate, so they get no impl.
+//!
 //! The format is designed for bit-identical resumption: floating-point
 //! statistics are stored as raw IEEE-754 bits, hash maps are written in
 //! sorted key order, and the event queue is written in exact pop order (the
@@ -23,24 +28,21 @@
 //! run's trace and profile simply start at the resume point (the simulated
 //! results stay bit-identical either way).
 
-use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
-use oracle_des::{
-    BusyTracker, FastHashMap, Histogram, IntervalSeries, LogHistogram, OnlineStats, QueueSnapshot,
-    Rng, SimTime,
-};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_des::{QueueSnapshot, SimTime};
 use oracle_topo::{ChannelId, PeId};
 
 use crate::channel::Channel;
 use crate::machine::{Event, Machine, Outstanding};
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::open::{Inflight, OpenState, ProcessState};
-use crate::pe::{Executing, Pe, Waiting, WorkItem};
-use crate::program::{Expansion, TaskList, TaskSpec};
-use crate::strategy::StrategyState;
+use crate::pe::{Executing, Waiting, WorkItem};
+use crate::program::{Expansion, TaskSpec};
 use crate::SimError;
 
 /// Magic prefix of a machine snapshot blob (`"MSNP"`).
 pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
+
 /// Version of the machine snapshot layout. Bumped on any layout change;
 /// restore refuses other versions rather than guessing.
 ///
@@ -65,815 +67,443 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// when sparse).
 pub const SNAPSHOT_VERSION: u32 = 5;
 
-/// Why a restore failed: the blob itself was undecodable, or it decoded
-/// fine but does not belong to this machine.
-enum RestoreFail {
-    Codec(SnapError),
-    Mismatch(String),
-}
-
-impl From<SnapError> for RestoreFail {
-    fn from(e: SnapError) -> Self {
-        RestoreFail::Codec(e)
+impl Snap for GoalId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.0);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(GoalId(r.u64()?))
     }
 }
 
-// ---------------------------------------------------------------------
-// Field codecs, in dependency order. Writers take the value; readers
-// return `Result<_, SnapError>` so truncation surfaces as `Eof`.
-// ---------------------------------------------------------------------
-
-fn put_opt_u32(w: &mut SnapWriter, v: Option<u32>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.u32(x);
-        }
-        None => w.bool(false),
+impl Snap for TaskSpec {
+    fn put(&self, w: &mut SnapWriter) {
+        w.i64(self.a);
+        w.i64(self.b);
+        w.u32(self.depth);
+        w.u32(self.tag);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(TaskSpec {
+            a: r.i64()?,
+            b: r.i64()?,
+            depth: r.u32()?,
+            tag: r.u32()?,
+        })
     }
 }
 
-fn get_opt_u32(r: &mut SnapReader) -> Result<Option<u32>, SnapError> {
-    Ok(if r.bool()? { Some(r.u32()?) } else { None })
-}
-
-fn put_spec(w: &mut SnapWriter, s: &TaskSpec) {
-    w.i64(s.a);
-    w.i64(s.b);
-    w.u32(s.depth);
-    w.u32(s.tag);
-}
-
-fn get_spec(r: &mut SnapReader) -> Result<TaskSpec, SnapError> {
-    Ok(TaskSpec {
-        a: r.i64()?,
-        b: r.i64()?,
-        depth: r.u32()?,
-        tag: r.u32()?,
-    })
-}
-
-fn put_parent(w: &mut SnapWriter, p: &Option<(PeId, GoalId)>) {
-    match p {
-        Some((pe, goal)) => {
-            w.bool(true);
-            w.u32(pe.0);
-            w.u64(goal.0);
-        }
-        None => w.bool(false),
+/// Strategies that park goals (threshold probing) write them inside their
+/// own state with this impl.
+impl Snap for GoalMsg {
+    fn put(&self, w: &mut SnapWriter) {
+        self.id.put(w);
+        self.spec.put(w);
+        self.parent.map(|(pe, g)| (pe.0, g)).put(w);
+        w.u32(self.hops);
+        w.bool(self.direct);
+        w.u64(self.created_at);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(GoalMsg {
+            id: Snap::get(r)?,
+            spec: Snap::get(r)?,
+            parent: Option::<(u32, GoalId)>::get(r)?.map(|(pe, g)| (PeId(pe), g)),
+            hops: r.u32()?,
+            direct: r.bool()?,
+            created_at: r.u64()?,
+        })
     }
 }
 
-fn get_parent(r: &mut SnapReader) -> Result<Option<(PeId, GoalId)>, SnapError> {
-    Ok(if r.bool()? {
-        Some((PeId(r.u32()?), GoalId(r.u64()?)))
-    } else {
-        None
-    })
-}
-
-/// Encode a [`GoalMsg`] into a snapshot payload. Public so strategies that
-/// park goals (e.g. threshold probing) can serialize them inside their
-/// [`StrategyState`] bytes with the same codec the machine uses.
-pub fn put_goal(w: &mut SnapWriter, g: &GoalMsg) {
-    w.u64(g.id.0);
-    put_spec(w, &g.spec);
-    put_parent(w, &g.parent);
-    w.u32(g.hops);
-    w.bool(g.direct);
-    w.u64(g.created_at);
-}
-
-/// Decode a [`GoalMsg`] written by [`put_goal`].
-pub fn get_goal(r: &mut SnapReader) -> Result<GoalMsg, SnapError> {
-    Ok(GoalMsg {
-        id: GoalId(r.u64()?),
-        spec: get_spec(r)?,
-        parent: get_parent(r)?,
-        hops: r.u32()?,
-        direct: r.bool()?,
-        created_at: r.u64()?,
-    })
-}
-
-fn put_packet(w: &mut SnapWriter, p: &Packet) {
-    match p {
-        Packet::Goal(g) => {
-            w.u8(0);
-            put_goal(w, g);
-        }
-        Packet::Response { to, child, value } => {
-            w.u8(1);
-            w.u32(to.0 .0);
-            w.u64(to.1 .0);
-            w.u64(child.0);
-            w.i64(*value);
-        }
-        Packet::Control(c) => {
-            w.u8(2);
-            w.u8(c.tag);
-            w.i64(c.value);
-        }
-        Packet::LoadUpdate { load } => {
-            w.u8(3);
-            w.u32(*load);
-        }
-    }
-}
-
-fn get_packet(r: &mut SnapReader) -> Result<Packet, SnapError> {
-    Ok(match r.u8()? {
-        0 => Packet::Goal(get_goal(r)?),
-        1 => Packet::Response {
-            to: (PeId(r.u32()?), GoalId(r.u64()?)),
-            child: GoalId(r.u64()?),
-            value: r.i64()?,
-        },
-        2 => Packet::Control(ControlMsg {
-            tag: r.u8()?,
-            value: r.i64()?,
-        }),
-        3 => Packet::LoadUpdate { load: r.u32()? },
-        t => {
-            return Err(SnapError::Invalid {
-                what: "packet tag",
-                value: t as u64,
-            })
-        }
-    })
-}
-
-fn put_flight(w: &mut SnapWriter, f: &Flight) {
-    w.u32(f.from.0);
-    match f.dest {
-        FlightDest::Unicast(pe) => {
-            w.u8(0);
-            w.u32(pe.0);
-        }
-        FlightDest::Broadcast => w.u8(1),
-    }
-    put_opt_u32(w, f.piggyback_load);
-    put_packet(w, &f.packet);
-}
-
-fn get_flight(r: &mut SnapReader) -> Result<Flight, SnapError> {
-    let from = PeId(r.u32()?);
-    let dest = match r.u8()? {
-        0 => FlightDest::Unicast(PeId(r.u32()?)),
-        1 => FlightDest::Broadcast,
-        t => {
-            return Err(SnapError::Invalid {
-                what: "flight dest tag",
-                value: t as u64,
-            })
-        }
-    };
-    Ok(Flight {
-        from,
-        dest,
-        piggyback_load: get_opt_u32(r)?,
-        packet: get_packet(r)?,
-    })
-}
-
-fn put_work_item(w: &mut SnapWriter, item: &WorkItem) {
-    match item {
-        WorkItem::Goal(g) => {
-            w.u8(0);
-            put_goal(w, g);
-        }
-        WorkItem::Response { goal, child, value } => {
-            w.u8(1);
-            w.u64(goal.0);
-            w.u64(child.0);
-            w.i64(*value);
-        }
-        WorkItem::Handle { from, packet } => {
-            w.u8(2);
-            w.u32(from.0);
-            put_packet(w, packet);
-        }
-        WorkItem::TimerWork { tag } => {
-            w.u8(3);
-            w.u64(*tag);
-        }
-    }
-}
-
-fn get_work_item(r: &mut SnapReader) -> Result<WorkItem, SnapError> {
-    Ok(match r.u8()? {
-        0 => WorkItem::Goal(get_goal(r)?),
-        1 => WorkItem::Response {
-            goal: GoalId(r.u64()?),
-            child: GoalId(r.u64()?),
-            value: r.i64()?,
-        },
-        2 => WorkItem::Handle {
-            from: PeId(r.u32()?),
-            packet: get_packet(r)?,
-        },
-        3 => WorkItem::TimerWork { tag: r.u64()? },
-        t => {
-            return Err(SnapError::Invalid {
-                what: "work item tag",
-                value: t as u64,
-            })
-        }
-    })
-}
-
-fn put_task_list(w: &mut SnapWriter, list: &TaskList) {
-    w.usize(list.len());
-    for spec in list {
-        put_spec(w, spec);
-    }
-}
-
-fn get_task_list(r: &mut SnapReader) -> Result<TaskList, SnapError> {
-    let n = r.usize()?;
-    let mut list = TaskList::new();
-    for _ in 0..n {
-        list.push(get_spec(r)?);
-    }
-    Ok(list)
-}
-
-fn put_expansion(w: &mut SnapWriter, e: &Expansion) {
-    match e {
-        Expansion::Leaf(v) => {
-            w.u8(0);
-            w.i64(*v);
-        }
-        Expansion::Split(children) => {
-            w.u8(1);
-            put_task_list(w, children);
-        }
-    }
-}
-
-fn get_expansion(r: &mut SnapReader) -> Result<Expansion, SnapError> {
-    Ok(match r.u8()? {
-        0 => Expansion::Leaf(r.i64()?),
-        1 => Expansion::Split(get_task_list(r)?),
-        t => {
-            return Err(SnapError::Invalid {
-                what: "expansion tag",
-                value: t as u64,
-            })
-        }
-    })
-}
-
-fn put_executing(w: &mut SnapWriter, e: &Executing) {
-    match e {
-        Executing::Goal(g, exp) => {
-            w.u8(0);
-            put_goal(w, g);
-            put_expansion(w, exp);
-        }
-        Executing::Response { goal, child, value } => {
-            w.u8(1);
-            w.u64(goal.0);
-            w.u64(child.0);
-            w.i64(*value);
-        }
-        Executing::Respawn { goal, children } => {
-            w.u8(2);
-            w.u64(goal.0);
-            put_task_list(w, children);
-        }
-        Executing::Handle { from, packet } => {
-            w.u8(3);
-            w.u32(from.0);
-            put_packet(w, packet);
-        }
-        Executing::TimerWork { tag } => {
-            w.u8(4);
-            w.u64(*tag);
-        }
-    }
-}
-
-fn get_executing(r: &mut SnapReader) -> Result<Executing, SnapError> {
-    Ok(match r.u8()? {
-        0 => Executing::Goal(get_goal(r)?, get_expansion(r)?),
-        1 => Executing::Response {
-            goal: GoalId(r.u64()?),
-            child: GoalId(r.u64()?),
-            value: r.i64()?,
-        },
-        2 => Executing::Respawn {
-            goal: GoalId(r.u64()?),
-            children: get_task_list(r)?,
-        },
-        3 => Executing::Handle {
-            from: PeId(r.u32()?),
-            packet: get_packet(r)?,
-        },
-        4 => Executing::TimerWork { tag: r.u64()? },
-        t => {
-            return Err(SnapError::Invalid {
-                what: "executing tag",
-                value: t as u64,
-            })
-        }
-    })
-}
-
-fn put_event(w: &mut SnapWriter, ev: &Event) {
-    match ev {
-        Event::PeDone(pe) => {
-            w.u8(0);
-            w.u32(pe.0);
-        }
-        Event::ChannelDone(ch) => {
-            w.u8(1);
-            w.u32(ch.0);
-        }
-        Event::Timer(pe, tag) => {
-            w.u8(2);
-            w.u32(pe.0);
-            w.u64(*tag);
-        }
-        Event::LoadBcast(pe) => {
-            w.u8(3);
-            w.u32(pe.0);
-        }
-        Event::FailPe(pe) => {
-            w.u8(4);
-            w.u32(pe.0);
-        }
-        Event::LinkDown(ch) => {
-            w.u8(5);
-            w.u32(ch.0);
-        }
-        Event::LinkUp(ch) => {
-            w.u8(6);
-            w.u32(ch.0);
-        }
-        Event::SlowStart(pe, factor) => {
-            w.u8(7);
-            w.u32(pe.0);
-            w.u64(*factor);
-        }
-        Event::SlowEnd(pe) => {
-            w.u8(8);
-            w.u32(pe.0);
-        }
-        Event::AckTimeout(goal) => {
-            w.u8(9);
-            w.u64(goal.0);
-        }
-        Event::Arrival => w.u8(10),
-        Event::Retry(goal) => {
-            w.u8(11);
-            w.u64(goal.0);
-        }
-    }
-}
-
-fn get_event(r: &mut SnapReader) -> Result<Event, SnapError> {
-    Ok(match r.u8()? {
-        0 => Event::PeDone(PeId(r.u32()?)),
-        1 => Event::ChannelDone(ChannelId(r.u32()?)),
-        2 => Event::Timer(PeId(r.u32()?), r.u64()?),
-        3 => Event::LoadBcast(PeId(r.u32()?)),
-        4 => Event::FailPe(PeId(r.u32()?)),
-        5 => Event::LinkDown(ChannelId(r.u32()?)),
-        6 => Event::LinkUp(ChannelId(r.u32()?)),
-        7 => Event::SlowStart(PeId(r.u32()?), r.u64()?),
-        8 => Event::SlowEnd(PeId(r.u32()?)),
-        9 => Event::AckTimeout(GoalId(r.u64()?)),
-        10 => Event::Arrival,
-        11 => Event::Retry(GoalId(r.u64()?)),
-        t => {
-            return Err(SnapError::Invalid {
-                what: "event tag",
-                value: t as u64,
-            })
-        }
-    })
-}
-
-fn put_stats(w: &mut SnapWriter, s: &OnlineStats) {
-    let (count, mean, m2, min, max) = s.raw_parts();
-    w.u64(count);
-    w.f64(mean);
-    w.f64(m2);
-    w.f64(min);
-    w.f64(max);
-}
-
-fn get_stats(r: &mut SnapReader) -> Result<OnlineStats, SnapError> {
-    let count = r.u64()?;
-    let mean = r.f64()?;
-    let m2 = r.f64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    Ok(OnlineStats::from_raw_parts(count, mean, m2, min, max))
-}
-
-fn put_hist(w: &mut SnapWriter, h: &Histogram) {
-    let (buckets, overflow, total, sum) = h.raw_parts();
-    w.usize(buckets.len());
-    for &b in buckets {
-        w.u64(b);
-    }
-    w.u64(overflow);
-    w.u64(total);
-    w.u64(sum);
-}
-
-fn get_hist(r: &mut SnapReader) -> Result<Histogram, SnapError> {
-    let n = r.usize()?;
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        buckets.push(r.u64()?);
-    }
-    let overflow = r.u64()?;
-    let total = r.u64()?;
-    let sum = r.u64()?;
-    Ok(Histogram::from_raw_parts(buckets, overflow, total, sum))
-}
-
-fn put_log_hist(w: &mut SnapWriter, h: &LogHistogram) {
-    let (buckets, total, sum, max) = h.raw_parts();
-    w.usize(buckets.len());
-    for &b in buckets {
-        w.u64(b);
-    }
-    w.u64(total);
-    w.f64(sum);
-    w.u64(max);
-}
-
-fn get_log_hist(r: &mut SnapReader) -> Result<LogHistogram, SnapError> {
-    let n = r.usize()?;
-    if n != LogHistogram::new().raw_parts().0.len() {
-        return Err(SnapError::Invalid {
-            what: "log histogram bucket count",
-            value: n as u64,
-        });
-    }
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        buckets.push(r.u64()?);
-    }
-    let total = r.u64()?;
-    let sum = r.f64()?;
-    let max = r.u64()?;
-    Ok(LogHistogram::from_raw_parts(buckets, total, sum, max))
-}
-
-/// Serialize the mutable open-traffic state. The immutable parameters
-/// (rates, edge list, windows, threshold, trace entries) are rebuilt from
-/// the run configuration on restore; only the cursors, counters, tables,
-/// and statistics travel in the blob.
-fn put_open(w: &mut SnapWriter, open: &OpenState) {
-    put_rng(w, &open.rng);
-    match &open.process {
-        ProcessState::Poisson { .. } => w.u8(0),
-        ProcessState::Burst { on, phase_end, .. } => {
-            w.u8(1);
-            w.bool(*on);
-            w.u64(*phase_end);
-        }
-        ProcessState::Diurnal { .. } => w.u8(2),
-        ProcessState::Trace { idx, .. } => {
-            w.u8(3);
-            w.usize(*idx);
-        }
-    }
-    w.u32(open.edge_idx);
-    w.u64(open.next_request);
-    w.u64(open.arrivals_total);
-    w.u64(open.completions_total);
-    match open.saturated {
-        Some((at, inflight)) => {
-            w.bool(true);
-            w.u64(at);
-            w.u64(inflight);
-        }
-        None => w.bool(false),
-    }
-    w.u64(open.qlen_cur);
-    w.u64(open.qlen_last);
-    put_log_hist(w, &open.sojourn);
-    put_stats(w, &open.sojourn_stats);
-    put_log_hist(w, &open.qlen_hist);
-    // In-flight requests in sorted goal-id order — map iteration order
-    // must not leak into the blob.
-    put_inflight_map(w, &open.inflight);
-    // Overload-protection runtime state (v3): retry stream and pending
-    // re-injections, token-bucket level (raw f64 bits), breaker table in
-    // sorted (pe, neighbour) order, and the shed/abandonment counters.
-    put_rng(w, &open.retry_rng);
-    w.f64(open.tokens);
-    w.u64(open.tokens_last);
-    put_inflight_map(w, &open.retry_pending);
-    let mut keys: Vec<(u32, u32)> = open.breaker.keys().copied().collect();
-    keys.sort_unstable();
-    w.usize(keys.len());
-    for key in keys {
-        w.u32(key.0);
-        w.u32(key.1);
-        w.u64(open.breaker[&key]);
-    }
-    w.u64(open.shed_total);
-    w.u64(open.abandoned_deadline);
-    w.u64(open.abandoned_deadline_measured);
-    w.u64(open.abandoned_retries);
-    w.u64(open.retries_total);
-    w.u64(open.breaker_opens);
-}
-
-/// Write a goal-id → in-flight-request table in sorted goal-id order (map
-/// iteration order must not leak into the blob).
-fn put_inflight_map(w: &mut SnapWriter, map: &FastHashMap<GoalId, Inflight>) {
-    let mut ids: Vec<GoalId> = map.keys().copied().collect();
-    ids.sort_unstable();
-    w.usize(ids.len());
-    for id in ids {
-        let infl = map[&id];
-        w.u64(id.0);
-        w.u64(infl.request);
-        w.u64(infl.arrived);
-        w.u32(infl.attempts);
-    }
-}
-
-fn get_inflight_map(r: &mut SnapReader) -> Result<FastHashMap<GoalId, Inflight>, SnapError> {
-    let mut map = FastHashMap::default();
-    for _ in 0..r.usize()? {
-        let id = GoalId(r.u64()?);
-        let infl = Inflight {
-            request: r.u64()?,
-            arrived: r.u64()?,
-            attempts: r.u32()?,
-        };
-        map.insert(id, infl);
-    }
-    Ok(map)
-}
-
-/// Restore state written by [`put_open`] into the freshly built
-/// [`OpenState`] (whose immutable parameters came from the configuration).
-fn get_open(r: &mut SnapReader, open: &mut OpenState) -> Result<(), RestoreFail> {
-    open.rng = get_rng(r)?;
-    let tag = r.u8()?;
-    match (&mut open.process, tag) {
-        (ProcessState::Poisson { .. }, 0) => {}
-        (ProcessState::Burst { on, phase_end, .. }, 1) => {
-            *on = r.bool()?;
-            *phase_end = r.u64()?;
-        }
-        (ProcessState::Diurnal { .. }, 2) => {}
-        (ProcessState::Trace { entries, idx }, 3) => {
-            let i = r.usize()?;
-            if i > entries.len() {
-                return Err(RestoreFail::Mismatch(format!(
-                    "snapshot arrival-trace cursor {i} exceeds this machine's trace \
-                     length {}",
-                    entries.len()
-                )));
+impl Snap for Packet {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Packet::Goal(g) => {
+                w.u8(0);
+                g.put(w);
             }
-            *idx = i;
+            Packet::Response { to, child, value } => {
+                w.u8(1);
+                w.u32(to.0 .0);
+                (to.1, *child, *value).put(w);
+            }
+            Packet::Control(c) => {
+                w.u8(2);
+                w.u8(c.tag);
+                w.i64(c.value);
+            }
+            Packet::LoadUpdate { load } => {
+                w.u8(3);
+                w.u32(*load);
+            }
         }
-        (_, t) => {
-            return Err(RestoreFail::Mismatch(format!(
-                "snapshot arrival process (tag {t}) does not match this machine's \
-                 configured process"
-            )))
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => Packet::Goal(Snap::get(r)?),
+            1 => Packet::Response {
+                to: (PeId(r.u32()?), Snap::get(r)?),
+                child: Snap::get(r)?,
+                value: r.i64()?,
+            },
+            2 => Packet::Control(ControlMsg {
+                tag: r.u8()?,
+                value: r.i64()?,
+            }),
+            3 => Packet::LoadUpdate { load: r.u32()? },
+            t => return Err(SnapError::invalid("packet tag", t.into())),
+        })
+    }
+}
+
+impl Snap for Flight {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u32(self.from.0);
+        match self.dest {
+            FlightDest::Unicast(pe) => {
+                w.u8(0);
+                w.u32(pe.0);
+            }
+            FlightDest::Broadcast => w.u8(1),
+        }
+        self.piggyback_load.put(w);
+        self.packet.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Flight {
+            from: PeId(r.u32()?),
+            dest: match r.u8()? {
+                0 => FlightDest::Unicast(PeId(r.u32()?)),
+                1 => FlightDest::Broadcast,
+                t => return Err(SnapError::invalid("flight dest tag", t.into())),
+            },
+            piggyback_load: Snap::get(r)?,
+            packet: Snap::get(r)?,
+        })
+    }
+}
+
+impl Snap for WorkItem {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            WorkItem::Goal(g) => {
+                w.u8(0);
+                g.put(w);
+            }
+            WorkItem::Response { goal, child, value } => {
+                w.u8(1);
+                (*goal, *child, *value).put(w);
+            }
+            WorkItem::Handle { from, packet } => {
+                w.u8(2);
+                w.u32(from.0);
+                packet.put(w);
+            }
+            WorkItem::TimerWork { tag } => {
+                w.u8(3);
+                w.u64(*tag);
+            }
         }
     }
-    open.edge_idx = r.u32()?;
-    open.next_request = r.u64()?;
-    open.arrivals_total = r.u64()?;
-    open.completions_total = r.u64()?;
-    open.saturated = if r.bool()? {
-        Some((r.u64()?, r.u64()?))
-    } else {
-        None
-    };
-    open.qlen_cur = r.u64()?;
-    open.qlen_last = r.u64()?;
-    open.sojourn = get_log_hist(r)?;
-    open.sojourn_stats = get_stats(r)?;
-    open.qlen_hist = get_log_hist(r)?;
-    open.inflight = get_inflight_map(r)?;
-    open.retry_rng = get_rng(r)?;
-    open.tokens = r.f64()?;
-    open.tokens_last = r.u64()?;
-    open.retry_pending = get_inflight_map(r)?;
-    open.breaker = FastHashMap::default();
-    for _ in 0..r.usize()? {
-        let key = (r.u32()?, r.u32()?);
-        let until = r.u64()?;
-        open.breaker.insert(key, until);
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => WorkItem::Goal(Snap::get(r)?),
+            1 => {
+                let (goal, child, value) = Snap::get(r)?;
+                WorkItem::Response { goal, child, value }
+            }
+            2 => WorkItem::Handle {
+                from: PeId(r.u32()?),
+                packet: Snap::get(r)?,
+            },
+            3 => WorkItem::TimerWork { tag: r.u64()? },
+            t => return Err(SnapError::invalid("work item tag", t.into())),
+        })
     }
-    open.shed_total = r.u64()?;
-    open.abandoned_deadline = r.u64()?;
-    open.abandoned_deadline_measured = r.u64()?;
-    open.abandoned_retries = r.u64()?;
-    open.retries_total = r.u64()?;
-    open.breaker_opens = r.u64()?;
-    Ok(())
 }
 
-fn put_busy(w: &mut SnapWriter, b: &BusyTracker) {
-    let (since, accumulated) = b.raw_parts();
-    match since {
-        Some(t) => {
-            w.bool(true);
-            w.u64(t.units());
+impl Snap for Expansion {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Expansion::Leaf(v) => {
+                w.u8(0);
+                w.i64(*v);
+            }
+            Expansion::Split(children) => {
+                w.u8(1);
+                children.put(w);
+            }
         }
-        None => w.bool(false),
     }
-    w.u64(accumulated);
-}
-
-fn get_busy(r: &mut SnapReader) -> Result<BusyTracker, SnapError> {
-    let since = if r.bool()? {
-        Some(SimTime(r.u64()?))
-    } else {
-        None
-    };
-    let accumulated = r.u64()?;
-    Ok(BusyTracker::from_raw_parts(since, accumulated))
-}
-
-fn put_series(w: &mut SnapWriter, s: &IntervalSeries) {
-    let (width, busy) = s.raw_parts();
-    w.u64(width);
-    w.usize(busy.len());
-    for &b in busy {
-        w.u64(b);
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => Expansion::Leaf(r.i64()?),
+            1 => Expansion::Split(Snap::get(r)?),
+            t => return Err(SnapError::invalid("expansion tag", t.into())),
+        })
     }
 }
 
-fn get_series(r: &mut SnapReader) -> Result<IntervalSeries, SnapError> {
-    let width = r.u64()?;
-    if width == 0 {
-        return Err(SnapError::Invalid {
-            what: "interval series width",
-            value: 0,
-        });
-    }
-    let n = r.usize()?;
-    let mut busy = Vec::with_capacity(n);
-    for _ in 0..n {
-        busy.push(r.u64()?);
-    }
-    Ok(IntervalSeries::from_raw_parts(width, busy))
-}
-
-fn put_rng(w: &mut SnapWriter, rng: &Rng) {
-    for word in rng.state() {
-        w.u64(word);
-    }
-}
-
-fn get_rng(r: &mut SnapReader) -> Result<Rng, SnapError> {
-    let mut s = [0u64; 4];
-    for word in &mut s {
-        *word = r.u64()?;
-    }
-    Ok(Rng::from_state(s))
-}
-
-fn put_pe(w: &mut SnapWriter, pe: &Pe) {
-    w.usize(pe.queue.len());
-    for item in &pe.queue {
-        put_work_item(w, item);
-    }
-    w.usize(pe.sys_queue.len());
-    for item in &pe.sys_queue {
-        put_work_item(w, item);
-    }
-    match &pe.executing {
-        Some(e) => {
-            w.bool(true);
-            put_executing(w, e);
+impl Snap for Executing {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Executing::Goal(g, exp) => {
+                w.u8(0);
+                g.put(w);
+                exp.put(w);
+            }
+            Executing::Response { goal, child, value } => {
+                w.u8(1);
+                (*goal, *child, *value).put(w);
+            }
+            Executing::Respawn { goal, children } => {
+                w.u8(2);
+                goal.put(w);
+                children.put(w);
+            }
+            Executing::Handle { from, packet } => {
+                w.u8(3);
+                w.u32(from.0);
+                packet.put(w);
+            }
+            Executing::TimerWork { tag } => {
+                w.u8(4);
+                w.u64(*tag);
+            }
         }
-        None => w.bool(false),
     }
-    w.u64(pe.exec_start.units());
-    w.u64(pe.busy_until.units());
-    // Waiting tasks in sorted goal-id order: map iteration order must not
-    // leak into the blob or two snapshots of one state could differ.
-    let mut ids: Vec<GoalId> = pe.waiting.keys().copied().collect();
-    ids.sort_unstable();
-    w.usize(ids.len());
-    for id in ids {
-        let wt = &pe.waiting[&id];
-        w.u64(id.0);
-        put_spec(w, &wt.spec);
-        put_parent(w, &wt.parent);
-        w.u32(wt.pending);
-        w.i64(wt.acc);
-        w.u32(wt.round);
-        w.u32(wt.hops);
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => Executing::Goal(Snap::get(r)?, Snap::get(r)?),
+            1 => {
+                let (goal, child, value) = Snap::get(r)?;
+                Executing::Response { goal, child, value }
+            }
+            2 => Executing::Respawn {
+                goal: Snap::get(r)?,
+                children: Snap::get(r)?,
+            },
+            3 => Executing::Handle {
+                from: PeId(r.u32()?),
+                packet: Snap::get(r)?,
+            },
+            4 => Executing::TimerWork { tag: r.u64()? },
+            t => return Err(SnapError::invalid("executing tag", t.into())),
+        })
     }
-    w.usize(pe.known_load.len());
-    for &l in &pe.known_load {
-        w.u32(l);
-    }
-    put_busy(w, &pe.busy);
-    put_series(w, &pe.series);
-    w.u32(pe.queued_goals);
-    w.u32(pe.queued_responses);
-    w.u64(pe.goals_executed);
-    w.u64(pe.cost_factor);
-    w.bool(pe.failed);
-    w.u64(pe.transient_factor);
-    w.usize(pe.peak_queue);
 }
 
-fn get_pe(r: &mut SnapReader, pe: &mut Pe) -> Result<(), RestoreFail> {
-    pe.queue.clear();
-    for _ in 0..r.usize()? {
-        pe.queue.push_back(get_work_item(r)?);
+impl Snap for Event {
+    fn put(&self, w: &mut SnapWriter) {
+        // One tag byte, then the payload: a PE or channel index, plus a
+        // 64-bit word for timers and slowdowns, or a goal id.
+        let (tag, id, word) = match *self {
+            Event::PeDone(pe) => (0, Some(pe.0), None),
+            Event::ChannelDone(ch) => (1, Some(ch.0), None),
+            Event::Timer(pe, tag) => (2, Some(pe.0), Some(tag)),
+            Event::LoadBcast(pe) => (3, Some(pe.0), None),
+            Event::FailPe(pe) => (4, Some(pe.0), None),
+            Event::LinkDown(ch) => (5, Some(ch.0), None),
+            Event::LinkUp(ch) => (6, Some(ch.0), None),
+            Event::SlowStart(pe, factor) => (7, Some(pe.0), Some(factor)),
+            Event::SlowEnd(pe) => (8, Some(pe.0), None),
+            Event::AckTimeout(goal) => (9, None, Some(goal.0)),
+            Event::Arrival => (10, None, None),
+            Event::Retry(goal) => (11, None, Some(goal.0)),
+        };
+        w.u8(tag);
+        if let Some(id) = id {
+            w.u32(id);
+        }
+        if let Some(word) = word {
+            w.u64(word);
+        }
     }
-    pe.sys_queue.clear();
-    for _ in 0..r.usize()? {
-        pe.sys_queue.push_back(get_work_item(r)?);
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => Event::PeDone(PeId(r.u32()?)),
+            1 => Event::ChannelDone(ChannelId(r.u32()?)),
+            2 => Event::Timer(PeId(r.u32()?), r.u64()?),
+            3 => Event::LoadBcast(PeId(r.u32()?)),
+            4 => Event::FailPe(PeId(r.u32()?)),
+            5 => Event::LinkDown(ChannelId(r.u32()?)),
+            6 => Event::LinkUp(ChannelId(r.u32()?)),
+            7 => Event::SlowStart(PeId(r.u32()?), r.u64()?),
+            8 => Event::SlowEnd(PeId(r.u32()?)),
+            9 => Event::AckTimeout(Snap::get(r)?),
+            10 => Event::Arrival,
+            11 => Event::Retry(Snap::get(r)?),
+            t => return Err(SnapError::invalid("event tag", t.into())),
+        })
     }
-    pe.executing = if r.bool()? {
-        Some(get_executing(r)?)
-    } else {
-        None
-    };
-    pe.exec_start = SimTime(r.u64()?);
-    pe.busy_until = SimTime(r.u64()?);
-    pe.waiting = FastHashMap::default();
-    for _ in 0..r.usize()? {
-        let id = GoalId(r.u64()?);
-        let wt = Waiting {
-            spec: get_spec(r)?,
-            parent: get_parent(r)?,
+}
+
+impl Snap for Inflight {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.request, self.arrived, self.attempts).put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let (request, arrived, attempts) = Snap::get(r)?;
+        Ok(Inflight {
+            request,
+            arrived,
+            attempts,
+        })
+    }
+}
+
+impl Snap for Waiting {
+    fn put(&self, w: &mut SnapWriter) {
+        self.spec.put(w);
+        self.parent.map(|(pe, g)| (pe.0, g)).put(w);
+        w.u32(self.pending);
+        w.i64(self.acc);
+        w.u32(self.round);
+        w.u32(self.hops);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Waiting {
+            spec: Snap::get(r)?,
+            parent: Option::<(u32, GoalId)>::get(r)?.map(|(pe, g)| (PeId(pe), g)),
             pending: r.u32()?,
             acc: r.i64()?,
             round: r.u32()?,
             hops: r.u32()?,
-        };
-        pe.waiting.insert(id, wt);
+        })
     }
-    let degree = r.usize()?;
-    if degree != pe.known_load.len() {
-        return Err(RestoreFail::Mismatch(format!(
-            "snapshot PE {} has degree {degree} but this machine's has {}",
-            pe.id.0,
-            pe.known_load.len()
-        )));
-    }
-    for slot in &mut pe.known_load {
-        *slot = r.u32()?;
-    }
-    pe.busy = get_busy(r)?;
-    pe.series = get_series(r)?;
-    pe.queued_goals = r.u32()?;
-    pe.queued_responses = r.u32()?;
-    pe.goals_executed = r.u64()?;
-    pe.cost_factor = r.u64()?;
-    pe.failed = r.bool()?;
-    pe.transient_factor = r.u64()?;
-    pe.peak_queue = r.usize()?;
-    Ok(())
 }
 
-fn put_channel(w: &mut SnapWriter, ch: &Channel) {
-    match &ch.in_flight {
-        Some(f) => {
-            w.bool(true);
-            put_flight(w, f);
+impl Snap for Outstanding {
+    fn put(&self, w: &mut SnapWriter) {
+        self.parent.map(|(pe, g)| (pe.0, g)).put(w);
+        self.spec.put(w);
+        w.u32(self.attempts);
+        w.u64(self.first_created);
+        self.resident.map(|pe| pe.0).put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Outstanding {
+            parent: Option::<(u32, GoalId)>::get(r)?.map(|(pe, g)| (PeId(pe), g)),
+            spec: Snap::get(r)?,
+            attempts: r.u32()?,
+            first_created: r.u64()?,
+            resident: Option::<u32>::get(r)?.map(PeId),
+        })
+    }
+}
+
+impl Snap for Channel {
+    fn put(&self, w: &mut SnapWriter) {
+        self.in_flight.put(w);
+        self.backlog.put(w);
+        self.busy.put(w);
+        w.u64(self.transfers);
+        w.usize(self.max_backlog);
+        w.bool(self.down);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Channel {
+            in_flight: Snap::get(r)?,
+            backlog: Snap::get(r)?,
+            busy: Snap::get(r)?,
+            transfers: r.u64()?,
+            max_backlog: r.usize()?,
+            down: r.bool()?,
+        })
+    }
+}
+
+impl OpenState {
+    /// Write the mutable open-traffic state. The immutable parameters
+    /// (rates, edge list, windows, threshold, trace entries) are rebuilt
+    /// from the run configuration on restore; only the cursors, counters,
+    /// tables and statistics travel in the blob.
+    fn put_state(&self, w: &mut SnapWriter) {
+        self.rng.put(w);
+        match &self.process {
+            ProcessState::Poisson { .. } => w.u8(0),
+            ProcessState::Burst { on, phase_end, .. } => {
+                w.u8(1);
+                (*on, *phase_end).put(w);
+            }
+            ProcessState::Diurnal { .. } => w.u8(2),
+            ProcessState::Trace { idx, .. } => {
+                w.u8(3);
+                w.usize(*idx);
+            }
         }
-        None => w.bool(false),
+        w.u32(self.edge_idx);
+        (
+            self.next_request,
+            self.arrivals_total,
+            self.completions_total,
+        )
+            .put(w);
+        self.saturated.put(w);
+        (self.qlen_cur, self.qlen_last).put(w);
+        self.sojourn.put(w);
+        self.sojourn_stats.put(w);
+        self.qlen_hist.put(w);
+        self.inflight.put(w);
+        // Overload protection (v3).
+        self.retry_rng.put(w);
+        (self.tokens, self.tokens_last).put(w);
+        self.retry_pending.put(w);
+        self.breaker.put(w);
+        (self.shed_total, self.abandoned_deadline).put(w);
+        (self.abandoned_deadline_measured, self.abandoned_retries).put(w);
+        (self.retries_total, self.breaker_opens).put(w);
     }
-    w.usize(ch.backlog.len());
-    for f in &ch.backlog {
-        put_flight(w, f);
-    }
-    put_busy(w, &ch.busy);
-    w.u64(ch.transfers);
-    w.usize(ch.max_backlog);
-    w.bool(ch.down);
-}
 
-fn get_channel(r: &mut SnapReader, ch: &mut Channel) -> Result<(), SnapError> {
-    ch.in_flight = if r.bool()? {
-        Some(get_flight(r)?)
-    } else {
-        None
-    };
-    ch.backlog.clear();
-    for _ in 0..r.usize()? {
-        ch.backlog.push_back(get_flight(r)?);
+    /// Restore state written by [`OpenState::put_state`] into this freshly
+    /// built state, whose immutable parameters came from the configuration.
+    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.rng = Snap::get(r)?;
+        match (&mut self.process, r.u8()?) {
+            (ProcessState::Poisson { .. }, 0) | (ProcessState::Diurnal { .. }, 2) => {}
+            (ProcessState::Burst { on, phase_end, .. }, 1) => {
+                (*on, *phase_end) = Snap::get(r)?;
+            }
+            (ProcessState::Trace { entries, idx }, 3) => {
+                let i = r.usize()?;
+                if i > entries.len() {
+                    return Err(SnapError::Mismatch(format!(
+                        "snapshot arrival-trace cursor {i} exceeds this machine's trace \
+                         length {}",
+                        entries.len()
+                    )));
+                }
+                *idx = i;
+            }
+            (_, t) => {
+                return Err(SnapError::Mismatch(format!(
+                    "snapshot arrival process (tag {t}) does not match this machine's \
+                     configured process"
+                )))
+            }
+        }
+        self.edge_idx = r.u32()?;
+        (
+            self.next_request,
+            self.arrivals_total,
+            self.completions_total,
+        ) = Snap::get(r)?;
+        self.saturated = Snap::get(r)?;
+        (self.qlen_cur, self.qlen_last) = Snap::get(r)?;
+        self.sojourn = Snap::get(r)?;
+        self.sojourn_stats = Snap::get(r)?;
+        self.qlen_hist = Snap::get(r)?;
+        self.inflight = Snap::get(r)?;
+        self.retry_rng = Snap::get(r)?;
+        (self.tokens, self.tokens_last) = Snap::get(r)?;
+        self.retry_pending = Snap::get(r)?;
+        self.breaker = Snap::get(r)?;
+        (self.shed_total, self.abandoned_deadline) = Snap::get(r)?;
+        (self.abandoned_deadline_measured, self.abandoned_retries) = Snap::get(r)?;
+        (self.retries_total, self.breaker_opens) = Snap::get(r)?;
+        Ok(())
     }
-    ch.busy = get_busy(r)?;
-    ch.transfers = r.u64()?;
-    ch.max_backlog = r.usize()?;
-    ch.down = r.bool()?;
-    Ok(())
 }
 
 impl Machine {
@@ -887,104 +517,93 @@ impl Machine {
     pub fn snapshot_bytes(&mut self) -> Vec<u8> {
         let queue = self.core.events.take_snapshot();
         let mut w = SnapWriter::with_capacity(4096);
+        let core = &self.core;
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
-        w.usize(self.core.pes.len());
-        w.usize(self.core.channels.len());
-        put_rng(&mut w, &self.core.rng);
-        put_rng(&mut w, &self.core.fault_rng);
-        for rng in &self.core.pe_rngs {
-            put_rng(&mut w, rng);
+        w.usize(core.pes.len());
+        w.usize(core.channels.len());
+        core.rng.put(&mut w);
+        core.fault_rng.put(&mut w);
+        // Per-PE vectors are sized by the shape checked above, so they
+        // carry no length prefix.
+        for rng in &core.pe_rngs {
+            rng.put(&mut w);
         }
-        for &s in &self.core.key_seq {
-            w.u32(s);
+        for s in core.key_seq.iter().chain(&core.goal_seq) {
+            w.u32(*s);
         }
-        for &s in &self.core.goal_seq {
-            w.u32(s);
+        let t = &core.traffic;
+        for c in [
+            core.goals_created,
+            core.goals_executed,
+            core.responses_processed,
+            core.seq_work,
+            t.goal_hops,
+            t.response_hops,
+            t.control_msgs,
+            t.load_updates,
+        ] {
+            w.u64(c);
         }
-        w.u64(self.core.goals_created);
-        w.u64(self.core.goals_executed);
-        w.u64(self.core.responses_processed);
-        w.u64(self.core.seq_work);
-        w.u64(self.core.traffic.goal_hops);
-        w.u64(self.core.traffic.response_hops);
-        w.u64(self.core.traffic.control_msgs);
-        w.u64(self.core.traffic.load_updates);
-        put_hist(&mut w, &self.core.hop_hist);
+        core.hop_hist.put(&mut w);
         // Dispatch-latency accumulators as sorted (pe, stats) pairs: the
         // materialized slots only, so sparse machines encode O(touched).
-        let dispatch_slots = self.core.dispatch_latency.present();
+        let dispatch_slots = core.dispatch_latency.present();
         w.usize(dispatch_slots.len());
         for (pe, s) in dispatch_slots {
             w.u32(pe);
-            put_stats(&mut w, s);
+            s.put(&mut w);
         }
-        put_series(&mut w, &self.core.global_series);
-        match self.core.root_result {
-            Some((v, t)) => {
-                w.bool(true);
-                w.i64(v);
-                w.u64(t.units());
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.core.last_progress.0);
-        w.u64(self.core.last_progress.1);
-        w.u64(self.core.last_progress.2);
-        w.u64(self.core.next_check);
-        w.u64(self.core.next_audit);
-        w.u64(self.core.last_audit_now);
-        // Fault / recovery state, tracking map in sorted goal-id order.
-        let f = &self.core.faults;
-        let mut ids: Vec<GoalId> = f.outstanding.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let o = &f.outstanding[&id];
-            w.u64(id.0);
-            put_parent(&mut w, &o.parent);
-            put_spec(&mut w, &o.spec);
-            w.u32(o.attempts);
-            w.u64(o.first_created);
-            put_opt_u32(&mut w, o.resident.map(|pe| pe.0));
-        }
+        core.global_series.put(&mut w);
+        core.root_result.put(&mut w);
+        core.last_progress.put(&mut w);
+        (core.next_check, core.next_audit, core.last_audit_now).put(&mut w);
+        let f = &core.faults;
+        f.outstanding.put(&mut w);
         w.u32(f.pes_crashed);
-        w.u64(f.goals_lost);
-        w.u64(f.messages_dropped);
-        w.u64(f.goals_respawned);
-        w.u64(f.duplicate_responses);
-        w.u64(f.retries_exhausted);
-        put_stats(&mut w, &f.recovery_latency);
+        for c in [
+            f.goals_lost,
+            f.messages_dropped,
+            f.goals_respawned,
+            f.duplicate_responses,
+            f.retries_exhausted,
+        ] {
+            w.u64(c);
+        }
+        f.recovery_latency.put(&mut w);
         // Open-traffic runtime state; presence must match the restoring
         // machine's configuration.
-        match self.core.open.as_deref() {
-            Some(open) => {
-                w.bool(true);
-                put_open(&mut w, open);
-            }
-            None => w.bool(false),
+        w.bool(core.open.is_some());
+        if let Some(open) = core.open.as_deref() {
+            open.put_state(&mut w);
         }
-        for pe in &self.core.pes {
-            put_pe(&mut w, pe);
+        for pe in &core.pes {
+            pe.queue.put(&mut w);
+            pe.sys_queue.put(&mut w);
+            pe.executing.put(&mut w);
+            (pe.exec_start, pe.busy_until).put(&mut w);
+            pe.waiting.put(&mut w);
+            pe.known_load.put(&mut w);
+            pe.busy.put(&mut w);
+            pe.series.put(&mut w);
+            (pe.queued_goals, pe.queued_responses).put(&mut w);
+            (pe.goals_executed, pe.cost_factor, pe.failed).put(&mut w);
+            (pe.transient_factor, pe.peak_queue).put(&mut w);
         }
         // Channels as sorted (id, state) pairs, materialized slots only.
-        let chan_slots = self.core.channels.present();
+        let chan_slots = core.channels.present();
         w.usize(chan_slots.len());
         for (cid, ch) in chan_slots {
             w.u32(cid);
-            put_channel(&mut w, ch);
+            ch.put(&mut w);
         }
-        w.u64(queue.now.units());
-        w.u64(queue.processed);
-        w.usize(queue.events.len());
-        for (at, key, ev) in &queue.events {
-            w.u64(at.units());
-            w.u64(*key);
-            put_event(&mut w, ev);
-        }
-        let state = self.strategy.snapshot_state();
-        w.str(&state.name);
-        w.bytes(&state.bytes);
+        (queue.now, queue.processed).put(&mut w);
+        queue.events.put(&mut w);
+        // The strategy's state, framed by its name and a length prefix.
+        let mut state = SnapWriter::new();
+        self.strategy.snapshot_state(&mut state);
+        w.str(self.strategy.name());
+        w.bytes(&state.into_bytes());
         self.core.events.restore_snapshot(queue);
         w.into_bytes()
     }
@@ -1000,174 +619,178 @@ impl Machine {
     /// different shape (PE/channel counts, degrees, strategy). A failed
     /// restore leaves the machine partially written — discard it.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), SimError> {
-        match self.restore_inner(bytes) {
-            Ok(()) => Ok(()),
-            Err(RestoreFail::Codec(e)) => Err(SimError::InvalidConfig(format!(
-                "corrupt machine snapshot: {e}"
-            ))),
-            Err(RestoreFail::Mismatch(msg)) => Err(SimError::InvalidConfig(msg)),
-        }
+        self.restore_inner(bytes).map_err(|e| {
+            SimError::InvalidConfig(match e {
+                SnapError::Mismatch(msg) => msg,
+                e => format!("corrupt machine snapshot: {e}"),
+            })
+        })
     }
 
-    fn restore_inner(&mut self, bytes: &[u8]) -> Result<(), RestoreFail> {
-        let mut r = SnapReader::new(bytes);
+    fn restore_inner(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        let r = &mut SnapReader::new(bytes);
         let magic = r.u32()?;
         if magic != SNAPSHOT_MAGIC {
-            return Err(RestoreFail::Mismatch(format!(
+            return Err(SnapError::Mismatch(format!(
                 "not a machine snapshot (magic {magic:#010x})"
             )));
         }
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
-            return Err(RestoreFail::Mismatch(format!(
+            return Err(SnapError::Mismatch(format!(
                 "machine snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
             )));
         }
+        let core = &mut self.core;
         let num_pes = r.usize()?;
         let num_channels = r.usize()?;
-        if num_pes != self.core.pes.len() || num_channels != self.core.channels.len() {
-            return Err(RestoreFail::Mismatch(format!(
+        if num_pes != core.pes.len() || num_channels != core.channels.len() {
+            return Err(SnapError::Mismatch(format!(
                 "snapshot is of a {num_pes}-PE/{num_channels}-channel machine but this one has \
                  {} PEs and {} channels",
-                self.core.pes.len(),
-                self.core.channels.len()
+                core.pes.len(),
+                core.channels.len()
             )));
         }
-        self.core.rng = get_rng(&mut r)?;
-        self.core.fault_rng = get_rng(&mut r)?;
-        for rng in &mut self.core.pe_rngs {
-            *rng = get_rng(&mut r)?;
+        core.rng = Snap::get(r)?;
+        core.fault_rng = Snap::get(r)?;
+        for rng in &mut core.pe_rngs {
+            *rng = Snap::get(r)?;
         }
-        for s in &mut self.core.key_seq {
+        for s in core.key_seq.iter_mut().chain(&mut core.goal_seq) {
             *s = r.u32()?;
         }
-        for s in &mut self.core.goal_seq {
-            *s = r.u32()?;
+        let t = &mut core.traffic;
+        for c in [
+            &mut core.goals_created,
+            &mut core.goals_executed,
+            &mut core.responses_processed,
+            &mut core.seq_work,
+            &mut t.goal_hops,
+            &mut t.response_hops,
+            &mut t.control_msgs,
+            &mut t.load_updates,
+        ] {
+            *c = r.u64()?;
         }
-        self.core.goals_created = r.u64()?;
-        self.core.goals_executed = r.u64()?;
-        self.core.responses_processed = r.u64()?;
-        self.core.seq_work = r.u64()?;
-        self.core.traffic.goal_hops = r.u64()?;
-        self.core.traffic.response_hops = r.u64()?;
-        self.core.traffic.control_msgs = r.u64()?;
-        self.core.traffic.load_updates = r.u64()?;
-        self.core.hop_hist = get_hist(&mut r)?;
-        self.core.dispatch_latency.reset();
+        core.hop_hist = Snap::get(r)?;
+        core.dispatch_latency.reset();
         let n_dispatch = r.usize()?;
         if n_dispatch > num_pes {
-            return Err(RestoreFail::Mismatch(format!(
+            return Err(SnapError::Mismatch(format!(
                 "snapshot has {n_dispatch} dispatch-latency slots for a {num_pes}-PE machine"
             )));
         }
         for _ in 0..n_dispatch {
             let pe = r.u32()?;
             if pe as usize >= num_pes {
-                return Err(RestoreFail::Mismatch(format!(
+                return Err(SnapError::Mismatch(format!(
                     "dispatch-latency slot for PE {pe} out of range (machine has {num_pes})"
                 )));
             }
-            *self.core.dispatch_latency.slot_mut(pe) = get_stats(&mut r)?;
+            *core.dispatch_latency.slot_mut(pe) = Snap::get(r)?;
         }
-        self.core.global_series = get_series(&mut r)?;
-        self.core.root_result = if r.bool()? {
-            let v = r.i64()?;
-            let t = r.u64()?;
-            Some((v, SimTime(t)))
-        } else {
-            None
-        };
-        self.core.last_progress = (r.u64()?, r.u64()?, r.u64()?);
-        self.core.next_check = r.u64()?;
-        self.core.next_audit = r.u64()?;
-        self.core.last_audit_now = r.u64()?;
-        self.core.faults.outstanding = FastHashMap::default();
-        for _ in 0..r.usize()? {
-            let id = GoalId(r.u64()?);
-            let o = Outstanding {
-                parent: get_parent(&mut r)?,
-                spec: get_spec(&mut r)?,
-                attempts: r.u32()?,
-                first_created: r.u64()?,
-                resident: get_opt_u32(&mut r)?.map(PeId),
-            };
-            self.core.faults.outstanding.insert(id, o);
+        core.global_series = Snap::get(r)?;
+        core.root_result = Snap::get(r)?;
+        core.last_progress = Snap::get(r)?;
+        (core.next_check, core.next_audit, core.last_audit_now) = Snap::get(r)?;
+        let f = &mut core.faults;
+        f.outstanding = Snap::get(r)?;
+        f.pes_crashed = r.u32()?;
+        for c in [
+            &mut f.goals_lost,
+            &mut f.messages_dropped,
+            &mut f.goals_respawned,
+            &mut f.duplicate_responses,
+            &mut f.retries_exhausted,
+        ] {
+            *c = r.u64()?;
         }
-        self.core.faults.pes_crashed = r.u32()?;
-        self.core.faults.goals_lost = r.u64()?;
-        self.core.faults.messages_dropped = r.u64()?;
-        self.core.faults.goals_respawned = r.u64()?;
-        self.core.faults.duplicate_responses = r.u64()?;
-        self.core.faults.retries_exhausted = r.u64()?;
-        self.core.faults.recovery_latency = get_stats(&mut r)?;
-        let has_open = r.bool()?;
-        match (has_open, self.core.open.as_deref_mut()) {
-            (true, Some(open)) => get_open(&mut r, open)?,
+        f.recovery_latency = Snap::get(r)?;
+        match (r.bool()?, core.open.as_deref_mut()) {
+            (true, Some(open)) => open.restore_state(r)?,
             (false, None) => {}
             (true, None) => {
-                return Err(RestoreFail::Mismatch(
+                return Err(SnapError::Mismatch(
                     "snapshot is of an open-traffic run but this machine is a closed run".into(),
                 ))
             }
             (false, Some(_)) => {
-                return Err(RestoreFail::Mismatch(
+                return Err(SnapError::Mismatch(
                     "snapshot is of a closed run but this machine has open traffic configured"
                         .into(),
                 ))
             }
         }
-        for pe in &mut self.core.pes {
-            get_pe(&mut r, pe)?;
+        for pe in &mut core.pes {
+            pe.queue = Snap::get(r)?;
+            pe.sys_queue = Snap::get(r)?;
+            pe.executing = Snap::get(r)?;
+            (pe.exec_start, pe.busy_until) = Snap::get(r)?;
+            pe.waiting = Snap::get(r)?;
+            let known_load: Vec<u32> = Snap::get(r)?;
+            if known_load.len() != pe.known_load.len() {
+                return Err(SnapError::Mismatch(format!(
+                    "snapshot PE {} has degree {} but this machine's has {}",
+                    pe.id.0,
+                    known_load.len(),
+                    pe.known_load.len()
+                )));
+            }
+            pe.known_load = known_load;
+            pe.busy = Snap::get(r)?;
+            pe.series = Snap::get(r)?;
+            (pe.queued_goals, pe.queued_responses) = Snap::get(r)?;
+            (pe.goals_executed, pe.cost_factor, pe.failed) = Snap::get(r)?;
+            (pe.transient_factor, pe.peak_queue) = Snap::get(r)?;
         }
-        self.core.channels.reset();
+        core.channels.reset();
         let n_chan = r.usize()?;
         if n_chan > num_channels {
-            return Err(RestoreFail::Mismatch(format!(
+            return Err(SnapError::Mismatch(format!(
                 "snapshot has {n_chan} channel slots for a {num_channels}-channel machine"
             )));
         }
         for _ in 0..n_chan {
             let cid = r.u32()?;
             if cid as usize >= num_channels {
-                return Err(RestoreFail::Mismatch(format!(
+                return Err(SnapError::Mismatch(format!(
                     "channel slot {cid} out of range (machine has {num_channels})"
                 )));
             }
-            get_channel(&mut r, self.core.channels.get_mut(ChannelId(cid)))?;
+            *core.channels.get_mut(ChannelId(cid)) = Snap::get(r)?;
         }
-        let now = SimTime(r.u64()?);
-        let processed = r.u64()?;
-        let n_events = r.usize()?;
-        let mut events = Vec::with_capacity(n_events);
+        let (now, processed): (SimTime, u64) = Snap::get(r)?;
+        let events: Vec<(SimTime, u64, Event)> = Snap::get(r)?;
         let mut prev = now;
-        for _ in 0..n_events {
-            let at = SimTime(r.u64()?);
+        for &(at, ..) in &events {
             if at < prev {
-                return Err(RestoreFail::Mismatch(format!(
+                return Err(SnapError::Mismatch(format!(
                     "snapshot event queue is not in pop order ({at} after {prev})"
                 )));
             }
             prev = at;
-            let key = r.u64()?;
-            events.push((at, key, get_event(&mut r)?));
         }
-        self.core.events.restore_snapshot(QueueSnapshot {
+        core.events.restore_snapshot(QueueSnapshot {
             now,
             processed,
             events,
         });
-        let state = StrategyState {
-            name: r.str()?.to_string(),
-            bytes: r.bytes()?.to_vec(),
-        };
+        let name = r.str()?;
+        if name != self.strategy.name() {
+            return Err(SnapError::Mismatch(format!(
+                "strategy snapshot was taken from `{name}` but is being restored into `{}`",
+                self.strategy.name()
+            )));
+        }
+        let state = &mut SnapReader::new(r.bytes()?);
         r.finish()?;
         // Live routing tables are derived state: recompute them from the
         // restored health (a no-op back to `None` at full health), exactly
         // as the fault handlers maintained them along the original run.
         self.core.rebuild_live_routes();
-        self.strategy
-            .restore_state(&state, &self.core)
-            .map_err(RestoreFail::Mismatch)
+        self.strategy.restore_state(state, &self.core)?;
+        state.finish()
     }
 }
 

@@ -12,27 +12,11 @@
 //! forwarded to a neighbour — dropping a goal stalls the simulation (and is
 //! caught by the machine's termination check).
 
+use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
 use oracle_topo::PeId;
-use serde::Serialize;
 
 use crate::machine::Core;
 use crate::message::{ControlMsg, GoalMsg};
-
-/// A serializable snapshot of a strategy's mutable state, produced by
-/// [`Strategy::snapshot_state`] and consumed by [`Strategy::restore_state`].
-///
-/// The payload is opaque to the machine: each scheme encodes its private
-/// state (outstanding-bid bitmaps, proximity fields, held goals, …) with the
-/// [`oracle_des::snapshot`] codec. The `name` tag guards against feeding a
-/// snapshot taken from one scheme into another. Stateless strategies use the
-/// empty payload.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct StrategyState {
-    /// [`Strategy::name`] of the scheme the snapshot was taken from.
-    pub name: String,
-    /// The scheme's private state, encoded with the des snapshot codec.
-    pub bytes: Vec<u8>,
-}
 
 /// A dynamic, distributed load-distribution scheme.
 pub trait Strategy: Send {
@@ -85,37 +69,21 @@ pub trait Strategy: Send {
     /// PEs never do). Strategies may reset their view of the neighbour.
     fn on_neighbor_up(&mut self, _core: &mut Core, _pe: PeId, _up: PeId) {}
 
-    /// Capture the strategy's mutable state for a checkpoint. The default
-    /// (an empty payload) is correct for stateless schemes; any scheme with
-    /// per-PE state **must** override this together with
-    /// [`Strategy::restore_state`] or resumed runs will diverge.
-    fn snapshot_state(&self) -> StrategyState {
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: Vec::new(),
-        }
-    }
+    /// Write the strategy's mutable state for a checkpoint. The default
+    /// (nothing) is correct for stateless schemes; any scheme with per-PE
+    /// state **must** override this together with
+    /// [`Strategy::restore_state`] or resumed runs will diverge. The
+    /// machine frames the bytes with the scheme's name and their length.
+    fn snapshot_state(&self, _w: &mut SnapWriter) {}
 
-    /// Restore state captured by [`Strategy::snapshot_state`]. Called on a
-    /// freshly constructed strategy *instead of* [`Strategy::init`] — any
+    /// Read back exactly what [`Strategy::snapshot_state`] wrote. Called on
+    /// a freshly constructed strategy *instead of* [`Strategy::init`] — any
     /// timers or RNG draws `init` would perform already live in the
-    /// snapshotted event queue and RNG state. `core` is provided read-only
-    /// for sizing per-PE vectors.
-    fn restore_state(&mut self, state: &StrategyState, _core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        if !state.bytes.is_empty() {
-            return Err(format!(
-                "strategy `{}` has no state to restore but the snapshot carries {} bytes",
-                self.name(),
-                state.bytes.len()
-            ));
-        }
+    /// snapshotted event queue and RNG state. The machine has already
+    /// checked the scheme's name, and rejects bytes left unread. `core` is
+    /// provided read-only for checking the state against the machine's
+    /// shape ([`SnapError::Mismatch`] when it does not fit).
+    fn restore_state(&mut self, _r: &mut SnapReader, _core: &Core) -> Result<(), SnapError> {
         Ok(())
     }
 

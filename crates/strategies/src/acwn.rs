@@ -21,12 +21,13 @@
 //!    `MachineConfig::future_commitment_weight` (the spec's builder sets it),
 //!    which folds waiting tasks into every load word this strategy sees.
 
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_model::{ControlMsg, Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
 use serde::{Deserialize, Serialize};
 
 use crate::cwn::CwnParams;
+use crate::util::get_per_pe;
 
 /// Control tag: idle PE requesting one goal.
 const TAG_REDIST_REQ: u8 = 4;
@@ -202,41 +203,12 @@ impl Strategy for AdaptiveCwn {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        w.usize(self.outstanding.len());
-        for &b in &self.outstanding {
-            w.bool(b);
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        self.outstanding.put(w);
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `adaptive-cwn` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != core.num_pes() {
-            return Err(format!(
-                "`adaptive-cwn` snapshot covers {n} PEs but this machine has {}",
-                core.num_pes()
-            ));
-        }
-        let mut outstanding = Vec::with_capacity(n);
-        for _ in 0..n {
-            outstanding.push(r.bool().map_err(bad)?);
-        }
-        r.finish().map_err(bad)?;
-        self.outstanding = outstanding;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        self.outstanding = get_per_pe(r, core, self.name())?;
         Ok(())
     }
 }

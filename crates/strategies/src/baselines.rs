@@ -7,9 +7,11 @@
 //! * [`RoundRobin`] — each PE scatters its goals over its neighbours in
 //!   cyclic order: deterministic load-oblivious diffusion.
 
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{Core, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_model::{Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
+
+use crate::util::get_per_pe;
 
 /// Keep every goal on its creating PE (no load distribution).
 #[derive(Debug, Clone, Default)]
@@ -122,41 +124,12 @@ impl Strategy for RoundRobin {
         core.accept_goal(pe, goal);
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        w.usize(self.next.len());
-        for &n in &self.next {
-            w.u32(n);
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        self.next.put(w);
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `round-robin` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != core.num_pes() {
-            return Err(format!(
-                "`round-robin` snapshot covers {n} PEs but this machine has {}",
-                core.num_pes()
-            ));
-        }
-        let mut next = Vec::with_capacity(n);
-        for _ in 0..n {
-            next.push(r.u32().map_err(bad)?);
-        }
-        r.finish().map_err(bad)?;
-        self.next = next;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        self.next = get_per_pe(r, core, self.name())?;
         Ok(())
     }
 }

@@ -11,17 +11,18 @@
 //! length) grows, communication swamps it — the `global_scalability`
 //! ablation plots the crossover against CWN.
 
-use std::collections::HashMap;
-
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{Core, GoalId, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_des::FastHashMap;
+use oracle_model::{Core, GoalId, GoalMsg, Strategy};
 use oracle_topo::PeId;
+
+use crate::util::check_pes;
 
 /// Send every goal to a uniformly random PE (global communication).
 #[derive(Debug, Clone, Default)]
 pub struct GlobalRandom {
-    /// Final destination of each goal currently in flight.
-    in_flight: HashMap<GoalId, PeId>,
+    /// Final destination (PE index) of each goal currently in flight.
+    in_flight: FastHashMap<GoalId, u32>,
 }
 
 impl GlobalRandom {
@@ -53,61 +54,25 @@ impl Strategy for GlobalRandom {
     fn on_goal_created(&mut self, core: &mut Core, pe: PeId, goal: GoalMsg) {
         let n = core.num_pes() as u64;
         let dest = PeId(core.rng(pe).below(n) as u32);
-        self.in_flight.insert(goal.id, dest);
+        self.in_flight.insert(goal.id, dest.0);
         self.route_toward(core, pe, dest, goal);
     }
 
     fn on_goal_message(&mut self, core: &mut Core, pe: PeId, goal: GoalMsg) {
-        match self.in_flight.get(&goal.id).copied() {
+        match self.in_flight.get(&goal.id).map(|&dest| PeId(dest)) {
             Some(dest) => self.route_toward(core, pe, dest, goal),
             // Directed transfers (or lost state) are accepted in place.
             None => core.accept_goal(pe, goal),
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        // Sorted key order: HashMap iteration order is not deterministic,
-        // snapshot bytes must be.
-        let mut ids: Vec<GoalId> = self.in_flight.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            w.u64(id.0);
-            w.u32(self.in_flight[&id].0);
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        self.in_flight.put(w);
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `global-random` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        let mut in_flight = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = GoalId(r.u64().map_err(bad)?);
-            let dest = PeId(r.u32().map_err(bad)?);
-            if dest.idx() >= core.num_pes() {
-                return Err(format!(
-                    "`global-random` snapshot routes a goal to PE {} \
-                     but this machine has only {} PEs",
-                    dest.0,
-                    core.num_pes()
-                ));
-            }
-            in_flight.insert(id, dest);
-        }
-        r.finish().map_err(bad)?;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        let in_flight: FastHashMap<GoalId, u32> = Snap::get(r)?;
+        check_pes(in_flight.values().map(|&pe| PeId(pe)), core, self.name())?;
         self.in_flight = in_flight;
         Ok(())
     }

@@ -20,12 +20,12 @@
 //! inferred" — an abundant PE only exports when the least neighbour
 //! proximity is at most the diameter.
 
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_model::{ControlMsg, Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
 use serde::{Deserialize, Serialize};
 
-use crate::util::neighbor_index;
+use crate::util::{get_per_pe, neighbor_index};
 
 /// Control-message tag for proximity updates.
 const TAG_PROXIMITY: u8 = 1;
@@ -73,6 +73,19 @@ struct GmPe {
     /// topology's neighbour list); "all the PEs initially assume that the
     /// proximities of their neighbors are 0".
     neighbor_prox: Vec<u32>,
+}
+
+impl Snap for GmPe {
+    fn put(&self, w: &mut SnapWriter) {
+        w.u32(self.proximity);
+        self.neighbor_prox.put(w);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(GmPe {
+            proximity: r.u32()?,
+            neighbor_prox: Snap::get(r)?,
+        })
+    }
 }
 
 /// The Gradient Model strategy.
@@ -227,61 +240,23 @@ impl Strategy for GradientModel {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        w.usize(self.state.len());
-        for st in &self.state {
-            w.u32(st.proximity);
-            w.usize(st.neighbor_prox.len());
-            for &p in &st.neighbor_prox {
-                w.u32(p);
-            }
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        self.state.put(w);
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `gradient` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != core.num_pes() {
-            return Err(format!(
-                "`gradient` snapshot covers {n} PEs but this machine has {}",
-                core.num_pes()
-            ));
-        }
-        let mut restored = Vec::with_capacity(n);
-        for i in 0..n {
-            let proximity = r.u32().map_err(bad)?;
-            let deg = r.usize().map_err(bad)?;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        let state: Vec<GmPe> = get_per_pe(r, core, self.name())?;
+        for (i, st) in state.iter().enumerate() {
             let expect = core.topology().degree(PeId(i as u32));
-            if deg != expect {
-                return Err(format!(
-                    "`gradient` snapshot lists {deg} neighbours for PE {i} \
-                     but the topology gives it {expect}"
-                ));
+            if st.neighbor_prox.len() != expect {
+                return Err(SnapError::Mismatch(format!(
+                    "`gradient` snapshot lists {} neighbours for PE {i} \
+                     but the topology gives it {expect}",
+                    st.neighbor_prox.len()
+                )));
             }
-            let mut neighbor_prox = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                neighbor_prox.push(r.u32().map_err(bad)?);
-            }
-            restored.push(GmPe {
-                proximity,
-                neighbor_prox,
-            });
         }
-        r.finish().map_err(bad)?;
-        self.state = restored;
+        self.state = state;
         Ok(())
     }
 }

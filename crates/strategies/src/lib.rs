@@ -46,6 +46,7 @@ pub use stealing::WorkStealing;
 pub use threshold::ThresholdProbe;
 
 pub(crate) mod util {
+    use oracle_des::snapshot::{Snap, SnapError, SnapReader};
     use oracle_model::Core;
     use oracle_topo::PeId;
 
@@ -55,6 +56,40 @@ pub(crate) mod util {
             .neighbors(pe)
             .binary_search_by_key(&nbr, |n| n.pe)
             .ok()
+    }
+
+    /// Read a per-PE vector of `scheme`'s snapshot state, refusing one
+    /// that does not cover exactly this machine's PEs.
+    pub fn get_per_pe<T: Snap>(
+        r: &mut SnapReader,
+        core: &Core,
+        scheme: &str,
+    ) -> Result<Vec<T>, SnapError> {
+        let v: Vec<T> = Snap::get(r)?;
+        if v.len() != core.num_pes() {
+            return Err(SnapError::Mismatch(format!(
+                "`{scheme}` snapshot covers {} PEs but this machine has {}",
+                v.len(),
+                core.num_pes()
+            )));
+        }
+        Ok(v)
+    }
+
+    /// Refuse restored `scheme` state that names a PE outside the machine.
+    pub fn check_pes(
+        mut pes: impl Iterator<Item = PeId>,
+        core: &Core,
+        scheme: &str,
+    ) -> Result<(), SnapError> {
+        match pes.find(|pe| pe.idx() >= core.num_pes()) {
+            Some(pe) => Err(SnapError::Mismatch(format!(
+                "`{scheme}` snapshot names PE {} but this machine has only {} PEs",
+                pe.0,
+                core.num_pes()
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -203,28 +238,41 @@ mod resume_tests {
 
     #[test]
     fn snapshot_refuses_wrong_strategy_or_garbage() {
-        let steal = WorkStealing::new(25);
-        let state = steal.snapshot_state();
-        let mut gm = GradientModel::new(gradient::GradientParams::paper_grid());
-        let machine = Machine::new(
-            mesh2d(4, 4, false),
-            Box::new(Fib(10)),
-            Box::new(Cwn::with(6, 2)),
-            CostModel::paper_default(),
-            MachineConfig::default(),
-        )
-        .expect("machine config");
-        let core = machine.core();
-        let err = gm.restore_state(&state, core).unwrap_err();
+        let machine = |strategy: Box<dyn Strategy>| {
+            Machine::new(
+                mesh2d(4, 4, false),
+                Box::new(Fib(10)),
+                strategy,
+                CostModel::paper_default(),
+                MachineConfig::default(),
+            )
+            .expect("machine config")
+        };
+        let mut steal = machine(Box::new(WorkStealing::new(25)));
+        steal.begin();
+        steal.advance_until(Some(200)).expect("run to pause point");
+        let blob = steal.snapshot_bytes();
+
+        let mut gm = machine(Box::new(GradientModel::new(
+            gradient::GradientParams::paper_grid(),
+        )));
+        let err = gm.restore_bytes(&blob).unwrap_err().to_string();
         assert!(
             err.contains("work-stealing") && err.contains("gradient"),
             "{err}"
         );
 
-        let mut truncated = state.clone();
-        truncated.bytes.truncate(3);
-        let mut steal2 = WorkStealing::new(25);
-        let err = steal2.restore_state(&truncated, core).unwrap_err();
+        // The blob ends with the strategy payload: 16 request flags behind
+        // a length prefix, then 16 deny counters. Reframe it as its first 3
+        // bytes, which the scheme cannot decode.
+        let payload = 8 + 16 + 16 * 4;
+        let mut truncated = blob[..blob.len() - payload - 8].to_vec();
+        truncated.extend_from_slice(&3u64.to_le_bytes());
+        truncated.extend_from_slice(&blob[blob.len() - payload..][..3]);
+        let err = machine(Box::new(WorkStealing::new(25)))
+            .restore_bytes(&truncated)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("corrupt"), "{err}");
     }
 }

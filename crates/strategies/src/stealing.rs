@@ -11,9 +11,11 @@
 //! as a directed transfer, or replies with a deny. A denied thief backs off
 //! `retry_delay` units and tries again while still idle.
 
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_model::{ControlMsg, Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
+
+use crate::util::get_per_pe;
 
 /// Control tag: "give me work".
 pub(crate) const TAG_STEAL_REQ: u8 = 2;
@@ -151,49 +153,19 @@ impl Strategy for WorkStealing {
         self.try_steal(core, pe);
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        w.usize(self.outstanding.len());
-        for &b in &self.outstanding {
-            w.bool(b);
-        }
-        for &d in &self.denies {
-            w.u32(d);
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        // The deny counters share the request flags' length prefix.
+        self.outstanding.put(w);
+        for d in &self.denies {
+            d.put(w);
         }
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `work-stealing` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != core.num_pes() {
-            return Err(format!(
-                "`work-stealing` snapshot covers {n} PEs but this machine has {}",
-                core.num_pes()
-            ));
-        }
-        let mut outstanding = Vec::with_capacity(n);
-        for _ in 0..n {
-            outstanding.push(r.bool().map_err(bad)?);
-        }
-        let mut denies = Vec::with_capacity(n);
-        for _ in 0..n {
-            denies.push(r.u32().map_err(bad)?);
-        }
-        r.finish().map_err(bad)?;
-        self.outstanding = outstanding;
-        self.denies = denies;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        self.outstanding = get_per_pe(r, core, self.name())?;
+        self.denies = (0..core.num_pes())
+            .map(|_| r.u32())
+            .collect::<Result<_, _>>()?;
         Ok(())
     }
 }

@@ -16,13 +16,13 @@
 //! round-trip latency per transfer, which is exactly the agility trade-off
 //! the paper frames CWN around.
 
-use std::collections::HashMap;
-
-use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::snapshot::{get_goal, put_goal};
-use oracle_model::{ControlMsg, Core, GoalId, GoalMsg, Strategy, StrategyState};
+use oracle_des::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use oracle_des::FastHashMap;
+use oracle_model::{ControlMsg, Core, GoalId, GoalMsg, Strategy};
 use oracle_topo::PeId;
 use serde::{Deserialize, Serialize};
+
+use crate::util::check_pes;
 
 /// Control tag: "is your load below the threshold?" (value = goal id).
 const TAG_PROBE: u8 = 6;
@@ -57,11 +57,26 @@ struct Pending {
     probes_left: u32,
 }
 
+impl Snap for Pending {
+    fn put(&self, w: &mut SnapWriter) {
+        self.goal.put(w);
+        w.u32(self.home.0);
+        w.u32(self.probes_left);
+    }
+    fn get(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Pending {
+            goal: Snap::get(r)?,
+            home: PeId(r.u32()?),
+            probes_left: r.u32()?,
+        })
+    }
+}
+
 /// The sender-initiated threshold-probing strategy.
 #[derive(Debug)]
 pub struct ThresholdProbe {
     params: ThresholdParams,
-    pending: HashMap<GoalId, Pending>,
+    pending: FastHashMap<GoalId, Pending>,
 }
 
 impl ThresholdProbe {
@@ -75,7 +90,7 @@ impl ThresholdProbe {
         assert!(params.probe_limit >= 1, "probe_limit must be at least 1");
         ThresholdProbe {
             params,
-            pending: HashMap::new(),
+            pending: FastHashMap::default(),
         }
     }
 
@@ -167,61 +182,13 @@ impl Strategy for ThresholdProbe {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
-        let mut w = SnapWriter::new();
-        // Sorted key order: HashMap iteration order is not deterministic,
-        // snapshot bytes must be.
-        let mut ids: Vec<GoalId> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let p = &self.pending[&id];
-            w.u64(id.0);
-            put_goal(&mut w, &p.goal);
-            w.u32(p.home.0);
-            w.u32(p.probes_left);
-        }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+    fn snapshot_state(&self, w: &mut SnapWriter) {
+        self.pending.put(w);
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `threshold-probe` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
-        let mut pending = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = GoalId(r.u64().map_err(bad)?);
-            let goal = get_goal(&mut r).map_err(bad)?;
-            let home = PeId(r.u32().map_err(bad)?);
-            if home.idx() >= core.num_pes() {
-                return Err(format!(
-                    "`threshold-probe` snapshot parks a goal on PE {} \
-                     but this machine has only {} PEs",
-                    home.0,
-                    core.num_pes()
-                ));
-            }
-            let probes_left = r.u32().map_err(bad)?;
-            pending.insert(
-                id,
-                Pending {
-                    goal,
-                    home,
-                    probes_left,
-                },
-            );
-        }
-        r.finish().map_err(bad)?;
+    fn restore_state(&mut self, r: &mut SnapReader, core: &Core) -> Result<(), SnapError> {
+        let pending: FastHashMap<GoalId, Pending> = Snap::get(r)?;
+        check_pes(pending.values().map(|p| p.home), core, self.name())?;
         self.pending = pending;
         Ok(())
     }

@@ -2,6 +2,7 @@
 //! workloads, strategy parameters, and seeds must never break the machine's
 //! invariants.
 
+use oracle::des::snapshot::{Snap, SnapReader, SnapWriter};
 use oracle::des::{CalendarQueue, EventQueue, IntervalSeries, OnlineStats, Rng, SimTime};
 use oracle::prelude::*;
 use proptest::prelude::*;
@@ -318,7 +319,7 @@ proptest! {
     }
 
     /// Utilization fractions stay in [0, 1] through width coarsening and a
-    /// checkpoint/resume round trip (`raw_parts`/`from_raw_parts`), and the
+    /// checkpoint/resume round trip (the series' `Snap` encoding), and the
     /// resumed series is bit-identical to the uninterrupted one.
     #[test]
     fn interval_series_fractions_survive_coarsening_and_resume(
@@ -345,8 +346,10 @@ proptest! {
         for &(a, b) in &spans[..split] {
             first.add_busy(SimTime(a), SimTime(b));
         }
-        let (w, busy) = first.raw_parts();
-        let mut resumed = IntervalSeries::from_raw_parts(w, busy.to_vec());
+        let mut w = SnapWriter::new();
+        first.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut resumed = IntervalSeries::get(&mut SnapReader::new(&bytes)).unwrap();
         for &(a, b) in &spans[split..] {
             resumed.add_busy(SimTime(a), SimTime(b));
         }
@@ -355,7 +358,9 @@ proptest! {
         let a = whole.utilization_series(horizon);
         let b = resumed.utilization_series(horizon);
         prop_assert_eq!(&a, &b, "resume diverged from the uninterrupted series");
-        prop_assert!(whole.raw_parts().1.len() <= IntervalSeries::MAX_INTERVALS);
+        // The horizon is the last span's end, so the series has exactly
+        // one fraction per held interval.
+        prop_assert!(a.len() <= IntervalSeries::MAX_INTERVALS);
         for &(_, u) in &a {
             prop_assert!((0.0..=1.0).contains(&u), "fraction {u} out of [0, 1]");
         }
