@@ -930,11 +930,53 @@ mod tests {
             let blob = machine.snapshot_bytes();
             assert_eq!((blob.len(), digest(&blob)), (len, pinned));
         }
-        let mut file = paused_checkpoint(&closed, 300);
-        assert_eq!(file.len(), 30_565 + DIGEST_LEN);
-        file.truncate(file.len() - DIGEST_LEN);
-        file[4..8].copy_from_slice(&6u32.to_le_bytes());
-        assert_eq!(digest(&file), 0xf4de_6a65_fde6_ae45);
+        // The file digests are taken under layout version 6. The calendar
+        // file keeps the digest it had when the calendar was the default
+        // queue; making the heap the default changed exactly one byte, the
+        // backend tag in the configuration block.
+        let mut calendar = closed.clone();
+        calendar.machine.queue_backend = QueueBackend::Calendar;
+        let files = [
+            (&closed, 0x2daf_b524_1b52_51f4_u64),
+            (&calendar, 0xf4de_6a65_fde6_ae45),
+        ]
+        .map(|(config, pinned)| {
+            let mut file = paused_checkpoint(config, 300);
+            assert_eq!(file.len(), 30_565 + DIGEST_LEN);
+            file.truncate(file.len() - DIGEST_LEN);
+            file[4..8].copy_from_slice(&6u32.to_le_bytes());
+            assert_eq!(digest(&file), pinned);
+            file
+        });
+        let moved = files[0].iter().zip(&files[1]).filter(|(a, b)| a != b);
+        assert_eq!(moved.count(), 1);
+    }
+
+    /// A file edited and then given a recomputed digest passes the digest
+    /// check, so the restore must catch what the edit broke. Inverting
+    /// byte 25,000 of the pinned closed checkpoint corrupts a response's
+    /// waiting-task reference, and byte 30,500 an event's PE id; without
+    /// the restore's structural checks, resuming either panics mid-run.
+    #[test]
+    fn restore_rejects_dangling_references_under_a_valid_digest() {
+        let config = SimulationBuilder::new()
+            .topology(TopologySpec::grid(6))
+            .workload(WorkloadSpec::fib(14))
+            .seed(7)
+            .config();
+        let bytes = paused_checkpoint(&config, 300);
+        let body = bytes.len() - DIGEST_LEN;
+        for at in [25_000, 30_500] {
+            let mut edited = bytes.clone();
+            edited[at] = !edited[at];
+            let sum = digest(&edited[..body]);
+            edited[body..].copy_from_slice(&sum.to_le_bytes());
+            let checkpoint = Checkpoint::from_bytes(&edited).unwrap();
+            match checkpoint.resume().err() {
+                Some(CheckpointError::Format(_)) => {}
+                other => panic!("inverting byte {at} gave {other:?}"),
+            }
+        }
     }
 
     #[test]

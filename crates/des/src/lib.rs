@@ -17,8 +17,8 @@
 //! from an explicitly seeded [`Rng`]. Two interchangeable event lists are
 //! provided — the binary-heap [`EventQueue`] and the bucket-based
 //! [`CalendarQueue`] (Brown 1988) — with identical ordering semantics. The
-//! machine model's `QueueBackend` picks one; its default is the calendar
-//! queue.
+//! machine model's `QueueBackend` picks one; its default is the binary
+//! heap.
 
 pub mod backend;
 pub mod calendar;

@@ -26,13 +26,15 @@ pub enum LoadInfoMode {
 /// backends on the full paper workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QueueBackend {
-    /// Binary-heap event list — O(log n).
+    /// Binary-heap event list — O(log n); the default. At about 100 PEs
+    /// the two backends are at parity; at deep queues a heap hold costs
+    /// 74–99 ns against 266–886 ns for the calendar (release builds,
+    /// 2-core x86-64 host, 10⁴–10⁵ PEs).
+    #[default]
     Heap,
     /// Calendar queue (unit-width timing wheel, Brown 1988) — O(1)
-    /// amortized in theory; the default. It is not faster in practice: at
-    /// about 100 PEs the two are at parity, and from 1024 PEs up the heap
-    /// measured 1.6–3.6× faster (release builds, 2-core x86-64 host).
-    #[default]
+    /// amortized in theory, slower in practice. Kept while `perfbench/`
+    /// still names it.
     Calendar,
 }
 

@@ -33,7 +33,7 @@ use oracle_des::{QueueSnapshot, SimTime};
 use oracle_topo::{ChannelId, PeId};
 
 use crate::channel::Channel;
-use crate::machine::{Event, Machine, Outstanding};
+use crate::machine::{Core, Event, Machine, Outstanding};
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::open::{Inflight, OpenState, ProcessState};
 use crate::pe::{Executing, Waiting, WorkItem};
@@ -506,6 +506,153 @@ impl OpenState {
     }
 }
 
+/// Restore-time structural checks. The codec proves each value is well
+/// formed; these prove it fits this machine, so a file edited with its
+/// digest recomputed fails here rather than at one of the machine's
+/// indexing operations or `expect`s mid-run.
+impl Core {
+    fn check_pe(&self, pe: PeId) -> Result<(), SnapError> {
+        if pe.idx() < self.pes.len() {
+            return Ok(());
+        }
+        Err(SnapError::Mismatch(format!(
+            "snapshot names PE {} but this machine has {} PEs",
+            pe.0,
+            self.pes.len()
+        )))
+    }
+
+    fn check_channel(&self, ch: ChannelId) -> Result<(), SnapError> {
+        if ch.idx() < self.channels.len() {
+            return Ok(());
+        }
+        Err(SnapError::Mismatch(format!(
+            "snapshot names channel {} but this machine has {} channels",
+            ch.0,
+            self.channels.len()
+        )))
+    }
+
+    /// `child`'s result will be combined into the task `goal` waiting at
+    /// `pe`, so that task must exist — unless the result is dropped first:
+    /// a dead PE swallows it, and the recovery layer discards the result
+    /// of a child it no longer tracks as a duplicate. `child` is `None`
+    /// for a respawn round, which the recovery layer never discards.
+    fn check_waiting(
+        &self,
+        (pe, goal): (PeId, GoalId),
+        child: Option<GoalId>,
+    ) -> Result<(), SnapError> {
+        self.check_pe(pe)?;
+        let p = &self.pes[pe.idx()];
+        let duplicate = self.plan.recovery.is_some()
+            && child.is_some_and(|c| !self.faults.outstanding.contains_key(&c));
+        if p.failed || duplicate || p.waiting.contains_key(&goal) {
+            return Ok(());
+        }
+        Err(SnapError::Mismatch(format!(
+            "snapshot routes a result to goal {} at PE {}, which has no such waiting task",
+            goal.0, pe.0
+        )))
+    }
+
+    /// The goal `child` reports to `parent` when it completes.
+    fn check_parent(&self, parent: Option<(PeId, GoalId)>, child: GoalId) -> Result<(), SnapError> {
+        parent.map_or(Ok(()), |to| self.check_waiting(to, Some(child)))
+    }
+
+    fn check_event(&self, event: Event) -> Result<(), SnapError> {
+        match event {
+            Event::PeDone(pe)
+            | Event::Timer(pe, _)
+            | Event::LoadBcast(pe)
+            | Event::FailPe(pe)
+            | Event::SlowStart(pe, _)
+            | Event::SlowEnd(pe) => self.check_pe(pe),
+            Event::ChannelDone(ch) | Event::LinkDown(ch) | Event::LinkUp(ch) => {
+                self.check_channel(ch)
+            }
+            Event::AckTimeout(_) | Event::Arrival | Event::Retry(_) => Ok(()),
+        }
+    }
+
+    fn check_packet(&self, packet: &Packet) -> Result<(), SnapError> {
+        match *packet {
+            Packet::Goal(ref g) => self.check_parent(g.parent, g.id),
+            Packet::Response { to, child, .. } => self.check_waiting(to, Some(child)),
+            Packet::Control(_) | Packet::LoadUpdate { .. } => Ok(()),
+        }
+    }
+
+    fn check_item(&self, pe: PeId, item: &WorkItem) -> Result<(), SnapError> {
+        match item {
+            WorkItem::Goal(g) => self.check_parent(g.parent, g.id),
+            WorkItem::Response { goal, child, .. } => self.check_waiting((pe, *goal), Some(*child)),
+            WorkItem::Handle { from, packet } => {
+                self.check_pe(*from)?;
+                self.check_packet(packet)
+            }
+            WorkItem::TimerWork { .. } => Ok(()),
+        }
+    }
+
+    /// A flight's sender and unicast receiver must both sit on the
+    /// channel carrying it.
+    fn check_flight(&self, ch: ChannelId, flight: &Flight) -> Result<(), SnapError> {
+        let members = self.topo.channel_members(ch);
+        let dest = match flight.dest {
+            FlightDest::Unicast(pe) => Some(pe),
+            FlightDest::Broadcast => None,
+        };
+        for pe in std::iter::once(flight.from).chain(dest) {
+            if members.binary_search(&pe).is_err() {
+                return Err(SnapError::Mismatch(format!(
+                    "snapshot puts a flight involving PE {} on channel {}, which does not \
+                     connect it",
+                    pe.0, ch.0
+                )));
+            }
+        }
+        self.check_packet(&flight.packet)
+    }
+
+    /// Every PE, channel and waiting-task reference in the restored PEs,
+    /// channels and recovery table (the event queue is checked as it is
+    /// decoded).
+    fn check_restored_refs(&self) -> Result<(), SnapError> {
+        for p in &self.pes {
+            for item in p.queue.iter().chain(&p.sys_queue) {
+                self.check_item(p.id, item)?;
+            }
+            match &p.executing {
+                Some(Executing::Goal(g, _)) => self.check_parent(g.parent, g.id)?,
+                Some(Executing::Response { goal, child, .. }) => {
+                    self.check_waiting((p.id, *goal), Some(*child))?
+                }
+                Some(Executing::Respawn { goal, .. }) => self.check_waiting((p.id, *goal), None)?,
+                Some(Executing::Handle { from, packet }) => {
+                    self.check_pe(*from)?;
+                    self.check_packet(packet)?;
+                }
+                Some(Executing::TimerWork { .. }) | None => {}
+            }
+            for (&goal, w) in &p.waiting {
+                self.check_parent(w.parent, goal)?;
+            }
+        }
+        for (&child, o) in &self.faults.outstanding {
+            self.check_parent(o.parent, child)?;
+            o.resident.map_or(Ok(()), |pe| self.check_pe(pe))?;
+        }
+        for (cid, ch) in self.channels.present() {
+            for flight in ch.in_flight.iter().chain(&ch.backlog) {
+                self.check_flight(ChannelId(cid), flight)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Machine {
     /// Serialize the machine's complete mutable state. Restoring the bytes
     /// into a machine freshly constructed from the same run configuration
@@ -763,14 +910,16 @@ impl Machine {
         let (now, processed): (SimTime, u64) = Snap::get(r)?;
         let events: Vec<(SimTime, u64, Event)> = Snap::get(r)?;
         let mut prev = now;
-        for &(at, ..) in &events {
+        for &(at, _, event) in &events {
             if at < prev {
                 return Err(SnapError::Mismatch(format!(
                     "snapshot event queue is not in pop order ({at} after {prev})"
                 )));
             }
             prev = at;
+            core.check_event(event)?;
         }
+        core.check_restored_refs()?;
         core.events.restore_snapshot(QueueSnapshot {
             now,
             processed,

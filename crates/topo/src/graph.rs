@@ -149,20 +149,22 @@ impl Clone for Router {
     }
 }
 
-/// BFS-on-demand distance oracle for large arbitrary graphs. Rows are
-/// keyed by the *target* PE (distances are symmetric on an undirected
-/// graph), so one BFS serves both `distance(x, t)` for every `x` and the
-/// whole neighbour scan of a `next_hop(_, t)` query.
+/// BFS-on-demand distance oracle for large arbitrary graphs.
 ///
-/// Most queries never pay for a full row: a BFS out of the target stops
-/// the instant the source is discovered, so the cost is the ball of
-/// radius `dist(from, to)` around the target, not the whole graph —
-/// hop-by-hop response routing on a million-PE graph would otherwise run
-/// one full-graph BFS per hop. A target whose cumulative bounded work
-/// exceeds a couple of full sweeps is promoted to a cached full row, so
-/// hot sinks (the root PE collecting results) amortize to O(1) lookups.
-/// Either path returns the exact distance and the same deterministic
-/// hop, so cache state can never change simulation results.
+/// A query without a cached row runs an exact bidirectional BFS: one ball
+/// grows out of `from`, one out of `target`, and each step widens the
+/// ball with the smaller frontier by one whole level. The search stops
+/// after the first level that discovers a PE already inside the other
+/// ball, so it touches about `2 · deg^(d/2)` PEs for a distance `d` — the
+/// one-sided ball of radius `d` it replaces touched about `deg^d`, and
+/// hop-by-hop response routing pays that once per hop.
+///
+/// Rows are keyed by the *target* PE (distances are symmetric on an
+/// undirected graph). A target whose cumulative search work exceeds a
+/// couple of full sweeps is promoted to a cached full row, so hot sinks
+/// (the root PE collecting results) amortize to O(1) lookups. Either path
+/// returns the exact distance and the same deterministic hop, so cache
+/// state can never change simulation results.
 ///
 /// The cache sits in a `RefCell`: a topology is queried from one thread
 /// at a time (each run owns its machine), so no lock is needed.
@@ -174,27 +176,85 @@ struct LazyRouter {
 struct RowCache {
     rows: std::collections::HashMap<u32, Vec<u32>>,
     fifo: VecDeque<u32>,
-    /// Cumulative bounded-BFS node visits per target; a target is promoted
-    /// to a full cached row once this exceeds [`PROMOTE_WORK_SWEEPS`] full
+    /// Cumulative search node visits per target; a target is promoted to
+    /// a full cached row once this exceeds [`PROMOTE_WORK_SWEEPS`] full
     /// sweeps. Cleared wholesale if it ever grows past
     /// [`WORK_LEDGER_CAP`] entries (only the amortization stats are lost).
     work: std::collections::HashMap<u32, u64>,
-    scratch: BfsScratch,
+    /// Boxed so the router enum stays small.
+    scratch: Box<BfsScratch>,
 }
 
-/// Epoch-stamped scratch for the bounded searches: `dist[i]` is valid only
-/// when `stamp[i] == epoch`, so queries reuse the buffers without an O(n)
-/// clear between them.
+/// Reusable buffers of the bidirectional search. Every per-PE entry is
+/// valid only when its stamp equals `epoch`, so queries reuse the buffers
+/// without an O(n) clear between them.
 #[derive(Default)]
 struct BfsScratch {
-    stamp: Vec<u32>,
-    dist: Vec<u32>,
+    /// The ball around `from`.
+    fwd: Ball,
+    /// The ball around `target`.
+    bwd: Ball,
+    /// PEs known to lie on a shortest `from → target` path (hop walk).
+    on_path: Vec<u32>,
     epoch: u32,
-    queue: VecDeque<u32>,
 }
 
-/// Bounded-work budget (in units of full BFS sweeps) a target may burn
-/// before it is promoted to a cached full row.
+/// One side of the bidirectional search: a BFS ball grown one whole
+/// level at a time.
+#[derive(Default)]
+struct Ball {
+    /// Per-PE `(stamp, distance from the centre)`.
+    seen: Vec<(u32, u32)>,
+    /// The ball's PEs in discovery order, so by non-decreasing distance.
+    order: Vec<u32>,
+    /// Where the outermost level starts in `order`.
+    frontier: usize,
+    radius: u32,
+}
+
+impl Ball {
+    fn start(&mut self, centre: PeId, epoch: u32) {
+        self.seen[centre.idx()] = (epoch, 0);
+        self.order.clear();
+        self.order.push(centre.0);
+        self.frontier = 0;
+        self.radius = 0;
+    }
+
+    fn frontier_len(&self) -> usize {
+        self.order.len() - self.frontier
+    }
+
+    /// Distance from the centre, if `pe` is inside the ball.
+    #[inline]
+    fn dist(&self, pe: usize, epoch: u32) -> Option<u32> {
+        let (stamp, d) = self.seen[pe];
+        (stamp == epoch).then_some(d)
+    }
+
+    /// Widen the ball by one level. True if the new level holds a PE that
+    /// is already inside `other`.
+    fn grow(&mut self, topo: &Topology, epoch: u32, other: &Ball) -> bool {
+        let end = self.order.len();
+        self.radius += 1;
+        let mut met = false;
+        for i in self.frontier..end {
+            for nb in topo.neighbors(PeId(self.order[i])) {
+                let u = nb.pe.idx();
+                if self.seen[u].0 != epoch {
+                    self.seen[u] = (epoch, self.radius);
+                    self.order.push(nb.pe.0);
+                    met |= other.seen[u].0 == epoch;
+                }
+            }
+        }
+        self.frontier = end;
+        met
+    }
+}
+
+/// Search work (in units of full BFS sweeps) a target may burn before it
+/// is promoted to a cached full row.
 const PROMOTE_WORK_SWEEPS: u64 = 2;
 
 /// Hard cap on the work-ledger size; reaching it resets the ledger.
@@ -211,12 +271,19 @@ impl LazyRouter {
     /// neighbour of `from` in sorted PE-id order that lies one hop closer
     /// to `target` — identical to what the dense table would answer.
     ///
-    /// Served from a cached full row when one exists; otherwise by a BFS
-    /// from `target` that stops as soon as `from` is discovered. The early
-    /// exit is sound for the hop too: when `from` first appears at depth
-    /// `d`, every node at depth `d - 1` has already been discovered with
-    /// its final distance, so the descending-neighbour scan sees exactly
-    /// the distances the full row would hold.
+    /// Served from a cached full row when one exists; otherwise by the
+    /// bidirectional search. When it stops with radii `a` (around `from`)
+    /// and `b` (around `target`), `dist = a + b` exactly: the balls were
+    /// disjoint one level earlier, so `dist > a + b - 1`, and the PE that
+    /// met them is at most `a + b` from both ends. Every PE of the last
+    /// level found in both balls is then at exactly `a` and `b`. The hop:
+    /// - `a ≤ 1`: the target's ball holds every PE within `b = d - a` of
+    ///   the target, so the first neighbour of `from` at distance `d - 1`
+    ///   in it is the answer;
+    /// - `a ≥ 2`: a neighbour of `from` is on a shortest path iff a
+    ///   shortest path from it reaches the meeting set `{a, b}`. The walk
+    ///   marks that set and carries the marks one level inward at a time,
+    ///   visiting `from`'s ball in reverse discovery order.
     fn query(&self, topo: &Topology, from: PeId, target: PeId, want_hop: bool) -> (u32, PeId) {
         let mut cache = self.cache.borrow_mut();
         let cache = &mut *cache;
@@ -225,55 +292,72 @@ impl LazyRouter {
         }
 
         let n = topo.num_pes;
-        let scratch = &mut cache.scratch;
-        if scratch.stamp.len() < n {
-            scratch.stamp.resize(n, 0);
-            scratch.dist.resize(n, 0);
+        let s = &mut cache.scratch;
+        if s.on_path.len() < n {
+            s.fwd.seen.resize(n, (0, 0));
+            s.bwd.seen.resize(n, (0, 0));
+            s.on_path.resize(n, 0);
         }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
+        s.epoch = s.epoch.wrapping_add(1);
+        if s.epoch == 0 {
             // One O(n) reset every 2^32 queries keeps stale stamps from a
             // previous epoch cycle from aliasing the current one.
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
+            s.fwd.seen.fill((0, 0));
+            s.bwd.seen.fill((0, 0));
+            s.on_path.fill(0);
+            s.epoch = 1;
         }
-        let epoch = scratch.epoch;
-        scratch.queue.clear();
-        scratch.stamp[target.idx()] = epoch;
-        scratch.dist[target.idx()] = 0;
-        scratch.queue.push_back(target.0);
-        let mut visited = 1u64;
-        let mut found: Option<u32> = None;
-        'bfs: while let Some(v) = scratch.queue.pop_front() {
-            let dv = scratch.dist[v as usize];
-            for nb in topo.neighbors(PeId(v)) {
-                let u = nb.pe.idx();
-                if scratch.stamp[u] != epoch {
-                    scratch.stamp[u] = epoch;
-                    scratch.dist[u] = dv + 1;
-                    visited += 1;
-                    if nb.pe == from {
-                        found = Some(dv + 1);
-                        break 'bfs;
-                    }
-                    scratch.queue.push_back(nb.pe.0);
-                }
-            }
+        let epoch = s.epoch;
+        s.fwd.start(from, epoch);
+        s.bwd.start(target, epoch);
+        let mut met = from == target;
+        while !met && s.fwd.frontier_len().min(s.bwd.frontier_len()) > 0 {
+            met = if s.fwd.frontier_len() <= s.bwd.frontier_len() {
+                s.fwd.grow(topo, epoch, &s.bwd)
+            } else {
+                s.bwd.grow(topo, epoch, &s.fwd)
+            };
         }
-        let d = found.unwrap_or(u32::MAX);
-        let hop = if want_hop {
+        let (a, b) = (s.fwd.radius, s.bwd.radius);
+        let d = if met { a + b } else { u32::MAX };
+        let hop = if !want_hop {
+            from
+        } else if a <= 1 {
             let want = d.checked_sub(1).expect("next_hop target must be reachable");
             topo.neighbors(from)
                 .iter()
-                .find(|n| scratch.stamp[n.pe.idx()] == epoch && scratch.dist[n.pe.idx()] == want)
-                .map(|n| n.pe)
+                .find(|nb| s.bwd.dist(nb.pe.idx(), epoch) == Some(want))
+                .map(|nb| nb.pe)
                 .expect("connected graph has a descending neighbour")
         } else {
-            from
+            // Level 1 is `from`'s neighbour list, discovered first.
+            let level1_end = 1 + topo.degree(from);
+            for i in (level1_end..s.fwd.order.len()).rev() {
+                let v = s.fwd.order[i] as usize;
+                let (_, k) = s.fwd.seen[v];
+                let marked = if k == a {
+                    s.bwd.dist(v, epoch) == Some(b)
+                } else {
+                    s.on_path[v] == epoch
+                };
+                if marked {
+                    for nb in topo.neighbors(PeId(v as u32)) {
+                        if s.fwd.dist(nb.pe.idx(), epoch) == Some(k - 1) {
+                            s.on_path[nb.pe.idx()] = epoch;
+                        }
+                    }
+                }
+            }
+            topo.neighbors(from)
+                .iter()
+                .find(|nb| s.on_path[nb.pe.idx()] == epoch)
+                .map(|nb| nb.pe)
+                .expect("connected graph has a descending neighbour")
         };
+        let visited = (s.fwd.order.len() + s.bwd.order.len()) as u64;
 
-        // Amortization ledger: promote targets that keep costing ball
-        // searches to a full cached row.
+        // Amortization ledger: promote targets that keep costing searches
+        // to a full cached row.
         if cache.work.len() >= WORK_LEDGER_CAP {
             cache.work.clear();
         }
@@ -971,6 +1055,60 @@ mod tests {
             }
         }
         lazy.check_invariants();
+    }
+
+    /// The lazy router's answer for `(from, to)`: once through the
+    /// topology (row cache and promotion in play) and once through a cold
+    /// router, so every pair exercises the bidirectional search itself.
+    fn lazy_answers(lazy: &Topology, from: PeId, to: PeId) -> [(u32, PeId); 2] {
+        let cold = if from == to {
+            (0, from)
+        } else {
+            LazyRouter::new().query(lazy, from, to, true)
+        };
+        [(lazy.distance(from, to), lazy.next_hop(from, to)), cold]
+    }
+
+    #[test]
+    fn lazy_router_matches_dense_hop_for_hop() {
+        // Degree 2 is the bare ring: long paths, meets on either side and
+        // a forward radius of 0 or 1 near the target. The DLM has buses.
+        let graphs = [
+            random_regular(101, 2, 1),
+            random_regular(160, 3, 2),
+            random_regular(200, 4, 3),
+            random_regular(120, 6, 4),
+            crate::dlm::double_lattice_mesh(2, 14, 10),
+        ];
+        for dense in graphs {
+            assert!(matches!(dense.router, Router::Dense { .. }));
+            let lazy = dense.clone().force_lazy_router();
+            for a in dense.pes() {
+                for b in dense.pes() {
+                    let want = (dense.distance(a, b), dense.next_hop(a, b));
+                    for got in lazy_answers(&lazy, a, b) {
+                        assert_eq!(got, want, "{} {a}->{b}", dense.name());
+                    }
+                }
+            }
+        }
+
+        // Above the dense limit the router is lazy by construction; check
+        // sampled pairs against full BFS rows and the descending-neighbour
+        // rule the dense table follows.
+        let big = random_regular(DENSE_ROUTER_LIMIT as u32 + 500, 3, 5);
+        assert!(matches!(big.router, Router::Lazy(_)));
+        let n = big.num_pes() as u32;
+        for t in (0..n).step_by(211) {
+            let row = big.bfs_row(PeId(t));
+            for f in (7..n).step_by(97) {
+                let (from, to) = (PeId(f), PeId(t));
+                let want = (row[f as usize], hop_from_row(&big, from, &row, from != to));
+                for got in lazy_answers(&big, from, to) {
+                    assert_eq!(got, want, "{from}->{to}");
+                }
+            }
+        }
     }
 
     #[test]
